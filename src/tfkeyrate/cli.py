@@ -27,7 +27,6 @@ from typing import Any
 from . import __version__
 from .channel_model import (
     LinkGeometry,
-    ObservedCounts,
     SourceSetting,
     SystemParams,
     single_photon_yields,
@@ -108,6 +107,8 @@ def _number(obj: dict, where: str, key: str, default: float | None = None) -> fl
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key}: expected a number, got {type(v).__name__}")
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {v}")
     return float(v)
 
 
@@ -117,7 +118,12 @@ def _integer(obj: dict, where: str, key: str, default: int | None = None) -> int
             raise ConfigError(f"{where}: missing field {key!r}")
         return default
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or int(v) != v:
+    if (
+        isinstance(v, bool)
+        or not isinstance(v, (int, float))
+        or not math.isfinite(v)
+        or int(v) != v
+    ):
         raise ConfigError(f"{where}.{key}: expected an integer")
     return int(v)
 
@@ -197,10 +203,14 @@ class ScenarioDocument:
     resolved: dict
 
 
+def _reject_constant(name: str) -> None:
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
 def load_scenario(path: str) -> ScenarioDocument:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -241,7 +251,8 @@ def load_scenario(path: str) -> ScenarioDocument:
         )
         grid = blk["grid_km"]
         if not isinstance(grid, list) or not grid or not all(
-            isinstance(g, (int, float)) and not isinstance(g, bool) for g in grid
+            isinstance(g, (int, float)) and not isinstance(g, bool) and math.isfinite(g)
+            for g in grid
         ):
             raise ConfigError("scan.grid_km: expected a non-empty list of numbers")
         channel = blk.get("channel", "symmetric")
@@ -591,16 +602,7 @@ def cmd_montecarlo(doc: ScenarioDocument, args: argparse.Namespace) -> int:
     rows = compare_with_analytics(tally, a, b, geom, doc.params)
     flagged = [r.name for r in rows if abs(r.z_score) > 3.0]
 
-    counts = ObservedCounts(
-        x={k: float(v) for k, v in tally.clicks.items()},
-        x_oo_d=float(
-            tally.clicks[("ohat", "ohat")] + tally.clicks[("ohat", "o")] + tally.clicks[("o", "ohat")]
-        ),
-        n_z=float(tally.n_z),
-        m_z=float(tally.m_z),
-        n_x=float(tally.n_x),
-        m_x=float(tally.m_x),
-    )
+    counts = tally.observed_counts()
     params = replace(doc.params, N=float(rounds))
     bounds: dict[str, Any]
     ledger = ChernoffLedger()

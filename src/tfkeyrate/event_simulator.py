@@ -1,12 +1,20 @@
 """Event-level Monte Carlo oracle for the analytic channel and matching model.
 
-Each round draws intensities, phases, classical bits and emitted photon
-numbers, propagates the photons through loss to the middle beam splitter,
-and applies the exact click statistics of interfering phase-randomized
-coherent pulses: arrivals at the two detectors are independent Poisson
-variables with means M/2 +- w cos(Theta), realized here by splitting the
-total arrived photons binomially.  Emitted photon numbers are kept as tags
-so the decoy-state lower bounds can be compared against ground truth.
+The simulator realizes the exact click statistics of interfering
+phase-randomized coherent pulses: arrivals at the two detectors are
+independent Poisson variables with means M/2 +- w cos(Theta), realized by
+splitting the arrived photons binomially.  Emitted photon numbers are kept
+as tags so the decoy-state lower bounds can be compared against ground
+truth.
+
+It is event-sparse: per shard it draws the 16 intensity-class round counts,
+then per class how many rounds have at least one arriving photon (chance
+1 - e^-M whatever the phase), a left dark count or a right dark count.  Only
+those candidate rounds, the only ones that can click, get arrival numbers,
+photon tags (Poisson splitting of arrived and lost photons), a phase, bits
+and a detector split; they are kept in random order, independent of their
+outcomes.  The tallies have the same joint distribution as drawing every
+round, at a cost of O(events) plus O(classes x shards).
 
 Determinism: rounds are partitioned into fixed-size shards, each driven by a
 counter-based Philox stream keyed by (seed, shard index); the two matching
@@ -28,6 +36,7 @@ import numpy as np
 from .channel_model import (
     INTENSITY_LABELS,
     LinkGeometry,
+    ObservedCounts,
     SourceSetting,
     SystemParams,
     observed_statistics,
@@ -45,6 +54,11 @@ _X_MATCH_STREAM = (1 << 62) + 1
 
 _MU, _NU, _O, _OHAT = 0, 1, 2, 3
 _CODE_TO_LABEL = {_MU: "mu", _NU: "nu", _O: "o", _OHAT: "ohat"}
+
+# Flag patterns of a round that can click: bit 0 at least one photon
+# arrives, bit 1 a left dark count, bit 2 a right dark count.
+_PATTERNS = np.arange(1, 8)
+_N_PATTERNS = _PATTERNS.shape[0]
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -86,13 +100,14 @@ class MonteCarloTally:
     sigma: float
     delta: float
     clicks: dict[tuple[str, str], int]
-    # Z pools, in round order: events where the first user sent o / mu
+    # Z pools, shard by shard in random order within a shard: events where
+    # the first user sent o / mu
     z_o_bob_mu: np.ndarray
     z_o_nb: np.ndarray
     z_mu_bob_mu: np.ndarray
     z_mu_na: np.ndarray
     z_mu_nb: np.ndarray
-    # X events inside the phase slice, in round order
+    # X events inside the phase slice, in the same order
     x_u: np.ndarray
     x_tag10: np.ndarray
     x_tag01: np.ndarray
@@ -136,6 +151,18 @@ class MonteCarloTally:
     def to_json(self) -> str:
         return json.dumps(self.summary(), indent=2, sort_keys=True)
 
+    def observed_counts(self) -> ObservedCounts:
+        """The tally as decoy-estimation input; needs both matching passes."""
+        c = self.clicks
+        return ObservedCounts(
+            x={k: float(v) for k, v in c.items()},
+            x_oo_d=float(c[("ohat", "ohat")] + c[("ohat", "o")] + c[("o", "ohat")]),
+            n_z=float(self.n_z),
+            m_z=float(self.m_z),
+            n_x=float(self.n_x),
+            m_x=float(self.m_x),
+        )
+
 
 @dataclass
 class _ShardData:
@@ -165,54 +192,85 @@ def _simulate_shard(
 ) -> _ShardData:
     rng = _stream(seed, shard_index)
     eta_a, eta_b = geom.transmittances(params)
+    p_d = params.p_d
     two_pi = 2.0 * math.pi
 
+    # per-class constants; class 4 i + j has intensity codes (i, j)
     probs_a = np.array([a.p_mu, a.p_nu, a.p_o, a.p_ohat])
     probs_b = np.array([b.p_mu, b.p_nu, b.p_o, b.p_ohat])
-    vals_a = np.array([a.mu, a.nu, 0.0, 0.0])
-    vals_b = np.array([b.mu, b.nu, 0.0, 0.0])
+    k_a = np.repeat([a.mu, a.nu, 0.0, 0.0], 4)
+    k_b = np.tile([b.mu, b.nu, 0.0, 0.0], 4)
+    arrive_a = eta_a * k_a
+    arrive_b = eta_b * k_b
+    mean_total = arrive_a + arrive_b
+    lost_a = (1.0 - eta_a) * k_a
+    lost_b = (1.0 - eta_b) * k_b
+    lit = mean_total > 0.0
+    share_a = np.divide(arrive_a, mean_total, out=np.zeros(16), where=lit)
+    visibility = np.divide(np.sqrt(arrive_a * arrive_b), mean_total, out=np.zeros(16), where=lit)
 
-    # fixed draw order: intensities, phases, bits, photon numbers, loss,
-    # detector split, darks
-    ia = np.searchsorted(np.cumsum(probs_a), rng.random(n), side="right")
-    ib = np.searchsorted(np.cumsum(probs_b), rng.random(n), side="right")
-    theta_a = rng.random(n) * two_pi
-    theta_b = rng.random(n) * two_pi
-    phi_ab = rng.random(n) * two_pi
-    r_a = rng.integers(0, 2, size=n, dtype=np.int8)
-    r_b = rng.integers(0, 2, size=n, dtype=np.int8)
-    k_a = vals_a[ia]
-    k_b = vals_b[ib]
-    n_a = rng.poisson(k_a)
-    n_b = rng.poisson(k_b)
-    surv_a = rng.binomial(n_a, eta_a)
-    surv_b = rng.binomial(n_b, eta_b)
+    # fixed draw order: class counts, flag patterns, candidate order,
+    # arrivals, photon tags, phases, bits, detector split, silent singles.
+    # Send probabilities may miss 1 by the validation tolerance.
+    class_probs = np.outer(probs_a, probs_b).ravel()
+    class_counts = rng.multinomial(n, class_probs / class_probs.sum())
 
-    arrived = surv_a + surv_b
-    mean_total = eta_a * k_a + eta_b * k_b
-    omega = np.sqrt(eta_a * k_a * eta_b * k_b)
-    theta = np.mod(theta_a - theta_b + phi_ab, two_pi)
+    # Each round independently has an arrival (prob 1 - e^-M, whatever the
+    # phase), a left dark count and a right dark count (prob p_d each).  The
+    # counts of the 8 flag patterns per class are therefore multinomial;
+    # silent rounds (none of the three, last column) never click and get no
+    # further draws.
+    none = np.exp(-mean_total)[:, None]
+    arrival = (_PATTERNS & 1) != 0
+    dark_l = (_PATTERNS & 2) != 0
+    dark_r = (_PATTERNS & 4) != 0
+    pattern_probs = (
+        np.where(arrival, -np.expm1(-mean_total)[:, None], none)
+        * np.where(dark_l, p_d, 1.0 - p_d)
+        * np.where(dark_r, p_d, 1.0 - p_d)
+    )
+    silent_probs = none * (1.0 - p_d) ** 2
+    pattern_counts = rng.multinomial(class_counts, np.hstack([pattern_probs, silent_probs]))
+    silent = pattern_counts[:, -1]
+
+    # Candidates in random order: X matching pairs retained events in
+    # arrival order, so the order must not depend on their outcomes.
+    code = np.repeat(np.arange(16 * _N_PATTERNS), pattern_counts[:, :-1].ravel())
+    rng.shuffle(code)
+    cls, pat = np.divmod(code, _N_PATTERNS)
+    ia, ib = np.divmod(cls, 4)
+    arrival, dark_l, dark_r = arrival[pat], dark_l[pat], dark_r[pat]
+    c = code.shape[0]
+
+    # Zero-truncated Poisson(M) arrivals: the first arrival time T of a
+    # rate-M Poisson process on [0, 1] conditioned on T < 1, by inverting its
+    # distribution function, then Poisson(M (1 - T)) more.  M (1 - T) is
+    # clamped at 0 against rounding.
+    m = mean_total[cls[arrival]]
+    remaining = np.maximum(m + np.log1p(rng.random(m.shape[0]) * np.expm1(-m)), 0.0)
+    arrived = np.zeros(c, dtype=np.int64)
+    arrived[arrival] = 1 + rng.poisson(remaining)
+
+    # Poisson splitting: arrivals per arm, plus photons lost on the way
+    surv_a = rng.binomial(arrived, share_a[cls])
+    n_a = surv_a + rng.poisson(lost_a[cls])
+    n_b = arrived - surv_a + rng.poisson(lost_b[cls])
+
+    # theta_a - theta_b + phi_ab is uniform on [0, 2 pi): one draw suffices
+    theta = rng.random(c) * two_pi
+    r_a = rng.integers(0, 2, size=c, dtype=np.int8)
+    r_b = rng.integers(0, 2, size=c, dtype=np.int8)
     # encoded bits shift the relative phase by pi each
     sign = 1.0 - 2.0 * np.logical_xor(r_a, r_b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_left = np.where(
-            mean_total > 0.0,
-            0.5 + sign * (omega / mean_total) * np.cos(theta),
-            0.5,
-        )
-    p_left = np.clip(p_left, 0.0, 1.0)
+    p_left = np.clip(0.5 + sign * visibility[cls] * np.cos(theta), 0.0, 1.0)
     arr_left = rng.binomial(arrived, p_left)
-    arr_right = arrived - arr_left
-    dark_left = rng.random(n) < params.p_d
-    dark_right = rng.random(n) < params.p_d
 
-    click_left = (arr_left > 0) | dark_left
-    click_right = (arr_right > 0) | dark_right
+    click_left = (arr_left > 0) | dark_l
+    click_right = (arrived - arr_left > 0) | dark_r
     success = np.logical_xor(click_left, click_right)
     det_right = success & click_right
 
-    flat = (ia * 4 + ib)[success]
-    clicks = np.bincount(flat, minlength=16).reshape(4, 4)
+    clicks = np.bincount(cls[success], minlength=16).reshape(4, 4)
 
     bob_z = (ib == _O) | (ib == _MU)
     pool_o = success & (ia == _O) & bob_z
@@ -227,8 +285,13 @@ def _simulate_shard(
         np.logical_xor(arm, det_right[kept]),
     )
 
-    o_mu_single = (ia == _O) & (ib == _MU) & (n_b == 1)
-    mu_o_single = (ia == _MU) & (ib == _O) & (n_a == 1)
+    # Single-photon ground truth counts every round of the class.  A silent
+    # round's photons were all lost, so its tag is Poisson((1 - eta) k).
+    o_mu, mu_o = 4 * _O + _MU, 4 * _MU + _O
+    o_mu_single = (cls == o_mu) & (n_b == 1)
+    mu_o_single = (cls == mu_o) & (n_a == 1)
+    lam = np.array([lost_b[o_mu], lost_a[mu_o]])
+    silent_single = rng.binomial(silent[[o_mu, mu_o]], lam * np.exp(-lam))
 
     cap = np.iinfo(np.uint8).max
     return _ShardData(
@@ -241,9 +304,9 @@ def _simulate_shard(
         x_u=u,
         x_tag10=(n_a[kept] == 1) & (n_b[kept] == 0),
         x_tag01=(n_a[kept] == 0) & (n_b[kept] == 1),
-        o_mu_single_rounds=int(o_mu_single.sum()),
+        o_mu_single_rounds=int(o_mu_single.sum() + silent_single[0]),
         o_mu_single_clicks=int((o_mu_single & success).sum()),
-        mu_o_single_rounds=int(mu_o_single.sum()),
+        mu_o_single_rounds=int(mu_o_single.sum() + silent_single[1]),
         mu_o_single_clicks=int((mu_o_single & success).sum()),
     )
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -197,6 +198,50 @@ def test_montecarlo_report_is_reproducible(tmp_path):
     assert bounds["feasible"] is True
     assert bounds["ordering_ok"] is True
     assert bounds["s11_z_lower"] <= bounds["s11_z_true"]
+
+
+def test_montecarlo_at_block_length_on_the_reference_link(tmp_path):
+    # 1e9 rounds of the paper's A-C link: the decoy chain is feasible with
+    # every bound below its tagged truth, and 1 and 2 threads agree.
+    doc = json.loads(open(_shipped("link_a_c.json"), encoding="utf-8").read())
+    doc["montecarlo"] = {"rounds": 1_000_000_000, "seed": 20260814}
+    cfg = _write(tmp_path, doc)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"mc_{threads}.json"
+        assert main(["montecarlo", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    bounds = json.loads(reports[0])["results"]["decoy_bounds"]
+    assert bounds["feasible"] is True
+    assert bounds["ordering_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "command, field, literal",
+    [
+        ("keyrate", ("nodes", 0, "distance_km"), "NaN"),
+        ("keyrate", ("system", "eta_d"), "-Infinity"),
+        ("montecarlo", ("montecarlo", "rounds"), "Infinity"),
+        ("montecarlo", ("montecarlo", "rounds"), "NaN"),
+        ("montecarlo", ("montecarlo", "rounds"), "1e400"),
+    ],
+)
+def test_non_finite_numbers_exit_2_quickly(tmp_path, command, field, literal):
+    doc = _two_node_doc(100.0)
+    doc["montecarlo"] = {"rounds": 1000, "seed": 1}
+    *parents, key = field
+    target = doc
+    for p in parents:
+        target = target[p]
+    target[key] = "__placeholder__"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc).replace('"__placeholder__"', literal), encoding="utf-8")
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
 
 
 def test_scan_csv_and_meta_sidecar(tmp_path):

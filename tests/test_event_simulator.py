@@ -7,17 +7,24 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, levene, poisson, ttest_ind
 
-from conftest import mc_symmetric_config, mc_toy_config, within_three_se
+from conftest import mc_asymmetric_config, mc_symmetric_config, mc_toy_config, within_three_se
+from tfkeyrate import event_simulator
 from tfkeyrate.channel_model import (
+    ObservedCounts,
     SourceSetting,
     expected_pair_counts,
     observed_statistics,
     single_photon_yields,
 )
 from tfkeyrate.event_simulator import (
+    _MU,
+    _NU,
+    _O,
     MonteCarloTally,
+    _ShardData,
+    _stream,
     compare_with_analytics,
     iterate_rounds,
     oracle_tally,
@@ -27,6 +34,161 @@ from tfkeyrate.event_simulator import (
     simulate_rounds,
 )
 from tfkeyrate.keyrate_engine import MODE_ASYMPTOTIC, estimate_e11_x, estimate_s11_x
+
+
+def _dense_shard(a, b, geom, params, n, seed, shard_index):
+    """Reference shard: every round draws its intensities, phases, bits,
+    photon numbers, loss, detector split and dark counts."""
+    rng = _stream(seed, shard_index)
+    eta_a, eta_b = geom.transmittances(params)
+    two_pi = 2.0 * math.pi
+
+    probs_a = np.array([a.p_mu, a.p_nu, a.p_o, a.p_ohat])
+    probs_b = np.array([b.p_mu, b.p_nu, b.p_o, b.p_ohat])
+    vals_a = np.array([a.mu, a.nu, 0.0, 0.0])
+    vals_b = np.array([b.mu, b.nu, 0.0, 0.0])
+
+    ia = np.searchsorted(np.cumsum(probs_a), rng.random(n), side="right")
+    ib = np.searchsorted(np.cumsum(probs_b), rng.random(n), side="right")
+    theta_a = rng.random(n) * two_pi
+    theta_b = rng.random(n) * two_pi
+    phi_ab = rng.random(n) * two_pi
+    r_a = rng.integers(0, 2, size=n, dtype=np.int8)
+    r_b = rng.integers(0, 2, size=n, dtype=np.int8)
+    k_a = vals_a[ia]
+    k_b = vals_b[ib]
+    n_a = rng.poisson(k_a)
+    n_b = rng.poisson(k_b)
+    surv_a = rng.binomial(n_a, eta_a)
+    surv_b = rng.binomial(n_b, eta_b)
+
+    arrived = surv_a + surv_b
+    mean_total = eta_a * k_a + eta_b * k_b
+    omega = np.sqrt(eta_a * k_a * eta_b * k_b)
+    theta = np.mod(theta_a - theta_b + phi_ab, two_pi)
+    sign = 1.0 - 2.0 * np.logical_xor(r_a, r_b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_left = np.where(
+            mean_total > 0.0,
+            0.5 + sign * (omega / mean_total) * np.cos(theta),
+            0.5,
+        )
+    p_left = np.clip(p_left, 0.0, 1.0)
+    arr_left = rng.binomial(arrived, p_left)
+    arr_right = arrived - arr_left
+    dark_left = rng.random(n) < params.p_d
+    dark_right = rng.random(n) < params.p_d
+
+    click_left = (arr_left > 0) | dark_left
+    click_right = (arr_right > 0) | dark_right
+    success = np.logical_xor(click_left, click_right)
+    det_right = success & click_right
+
+    flat = (ia * 4 + ib)[success]
+    clicks = np.bincount(flat, minlength=16).reshape(4, 4)
+
+    bob_z = (ib == _O) | (ib == _MU)
+    pool_o = success & (ia == _O) & bob_z
+    pool_mu = success & (ia == _MU) & bob_z
+
+    x_mask = success & (ia == _NU) & (ib == _NU)
+    folded = np.mod(theta - params.sigma, two_pi)
+    kept = x_mask & (np.mod(folded, math.pi) < params.delta)
+    arm = folded[kept] >= math.pi
+    u = np.logical_xor(
+        np.logical_xor(r_a[kept].astype(bool), r_b[kept].astype(bool)),
+        np.logical_xor(arm, det_right[kept]),
+    )
+
+    o_mu_single = (ia == _O) & (ib == _MU) & (n_b == 1)
+    mu_o_single = (ia == _MU) & (ib == _O) & (n_a == 1)
+
+    cap = np.iinfo(np.uint8).max
+    return _ShardData(
+        clicks=clicks,
+        z_o_bob_mu=(ib[pool_o] == _MU),
+        z_o_nb=np.minimum(n_b[pool_o], cap).astype(np.uint8),
+        z_mu_bob_mu=(ib[pool_mu] == _MU),
+        z_mu_na=np.minimum(n_a[pool_mu], cap).astype(np.uint8),
+        z_mu_nb=np.minimum(n_b[pool_mu], cap).astype(np.uint8),
+        x_u=u,
+        x_tag10=(n_a[kept] == 1) & (n_b[kept] == 0),
+        x_tag01=(n_a[kept] == 0) & (n_b[kept] == 1),
+        o_mu_single_rounds=int(o_mu_single.sum()),
+        o_mu_single_clicks=int((o_mu_single & success).sum()),
+        mu_o_single_rounds=int(mu_o_single.sum()),
+        mu_o_single_clicks=int((mu_o_single & success).sum()),
+    )
+
+
+def _count_fields(tally):
+    summary = tally.summary()
+    fields = {f"clicks[{k}]": v for k, v in summary.pop("clicks").items()}
+    fields.update((k, v) for k, v in summary.items() if k not in ("n_rounds", "seed"))
+    return fields
+
+
+def _poisson_two_sided(observed, expected):
+    if observed < expected:
+        return 2.0 * poisson.cdf(observed, expected)
+    return 2.0 * poisson.sf(observed - 1, expected)
+
+
+# Each check below fails by chance with probability at most DIST_P_MIN;
+# there are about 230 of them over the three links.
+DIST_SEEDS = 30
+DIST_P_MIN = 1e-5
+
+
+@pytest.mark.parametrize(
+    "config, n_rounds",
+    [(mc_symmetric_config, 300_000), (mc_asymmetric_config, 150_000), (mc_toy_config, 100_000)],
+    ids=["symmetric", "asymmetric", "toy"],
+)
+def test_sparse_shard_matches_the_dense_reference_in_distribution(monkeypatch, config, n_rounds):
+    a, b, geom, params = config()
+
+    def tallies(first_seed):
+        seeds = range(first_seed, first_seed + DIST_SEEDS)
+        return [oracle_tally(a, b, geom, params, n_rounds, seed) for seed in seeds]
+
+    sparse = tallies(0)
+    with monkeypatch.context() as patch:
+        patch.setattr(event_simulator, "_simulate_shard", _dense_shard)
+        # disjoint seeds: both constructions read the same Philox streams
+        dense = tallies(1000)
+
+    sparse_fields = [_count_fields(t) for t in sparse]
+    dense_fields = [_count_fields(t) for t in dense]
+    for name in sparse_fields[0]:
+        x = np.array([f[name] for f in sparse_fields], dtype=float)
+        y = np.array([f[name] for f in dense_fields], dtype=float)
+        if np.ptp(x) == 0.0 and np.ptp(y) == 0.0:
+            assert x[0] == y[0], name
+            continue
+        assert ttest_ind(x, y, equal_var=False).pvalue > DIST_P_MIN, f"{name} mean"
+        assert levene(x, y, center="median").pvalue > DIST_P_MIN, f"{name} variance"
+
+    # pooled over the seeds, the sparse counts follow the analytics
+    for per_seed in zip(*(compare_with_analytics(t, a, b, geom, params) for t in sparse)):
+        units = 2.0 if per_seed[0].name == "m_x" else 1.0
+        observed = sum(r.observed for r in per_seed) / units
+        expected = DIST_SEEDS * per_seed[0].expected / units
+        assert _poisson_two_sided(observed, expected) > DIST_P_MIN, (
+            f"{per_seed[0].name}: {observed} vs {expected:.6g}"
+        )
+
+
+def test_x_pairing_mixes_dark_and_photon_events():
+    # With dark counts about as common as photon clicks, greedy X pairing
+    # sees the event order: pairing dark-only events among themselves would
+    # lower m_x below the analytic expectation.
+    a, b, geom, params = mc_toy_config()
+    dark = dataclasses.replace(params, p_d=0.03)
+    tally = oracle_tally(a, b, geom, dark, n_rounds=6_000_000, seed=20260814, threads=2)
+    rows = {r.name: r for r in compare_with_analytics(tally, a, b, geom, dark)}
+    assert tally.m_x > 200
+    assert _poisson_two_sided(rows["m_x"].observed / 2.0, rows["m_x"].expected / 2.0) > DIST_P_MIN
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +319,19 @@ def test_summary_and_json_round_trip(toy_tally):
     assert summary["n_rounds"] == 500_000
     assert summary["clicks"]["mu,mu"] == toy_tally.clicks[("mu", "mu")]
     assert summary["n_z"] == toy_tally.n_z
+
+
+def test_observed_counts_match_the_hand_built_counts(toy_tally):
+    t = toy_tally
+    hand_built = ObservedCounts(
+        x={k: float(v) for k, v in t.clicks.items()},
+        x_oo_d=float(t.clicks[("ohat", "ohat")] + t.clicks[("ohat", "o")] + t.clicks[("o", "ohat")]),
+        n_z=float(t.n_z),
+        m_z=float(t.m_z),
+        n_x=float(t.n_x),
+        m_x=float(t.m_x),
+    )
+    assert t.observed_counts() == hand_built
 
 
 def test_round_iterator_exposes_consistent_records():
