@@ -14,7 +14,7 @@ distinction is purely classical announcement; both are zero intensity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .finite_stats import bessel_i0, integrate_adaptive_simpson
 
@@ -137,12 +137,13 @@ class GainComponents:
     q_total: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservedCounts:
-    """Expected event counts per intensity pair plus post-matched totals.
+    """Event counts per intensity pair plus post-matched totals, expected
+    (observed_statistics) or simulated (MonteCarloTally.observed_counts).
 
     x is keyed by (alice_label, bob_label); x_oo_d aggregates the three
-    declared-vacuum combinations.  The Z/X fields are populated by
+    declared-vacuum combinations.  The Z/X fields hold the totals of
     z_basis_counts / x_basis_counts.
     """
 
@@ -239,13 +240,7 @@ def expected_pair_counts(
     return ObservedCounts(x=x, x_oo_d=x_oo_d)
 
 
-def z_basis_counts(
-    counts: ObservedCounts,
-    a: SourceSetting,
-    b: SourceSetting,
-    geom: LinkGeometry,
-    params: SystemParams,
-) -> tuple[float, float, float, float, float]:
+def z_basis_counts(counts: ObservedCounts, params: SystemParams) -> tuple[float, float, float, float, float]:
     """Post-matched Z-basis totals (n_z, m_z, n_C_z, n_E_z, E_z).
 
     Events with the first user silent ("o" row) are matched against events
@@ -262,9 +257,7 @@ def z_basis_counts(
     n_e = x_min * (counts.x[("o", "o")] / row_o) * (counts.x[("mu", "mu")] / row_mu)
     n_z = n_c + n_e
     m_z = (1.0 - params.e_d_z) * n_e + params.e_d_z * n_c
-    e_z = m_z / n_z
-    counts.n_z, counts.m_z, counts.n_C_z, counts.n_E_z, counts.E_z = n_z, m_z, n_c, n_e, e_z
-    return n_z, m_z, n_c, n_e, e_z
+    return n_z, m_z, n_c, n_e, m_z / n_z
 
 
 def z_pool_sizes(counts: ObservedCounts) -> tuple[float, float]:
@@ -380,10 +373,9 @@ def observed_statistics(
     b: SourceSetting,
     geom: LinkGeometry,
     params: SystemParams,
-    x_error_form: str = "first_principles",
 ) -> ObservedCounts:
     """Fully populated ObservedCounts: pair counts plus Z and X totals."""
     counts = expected_pair_counts(a, b, geom, params)
-    z_basis_counts(counts, a, b, geom, params)
-    counts.n_x, counts.m_x = x_basis_counts(a, b, geom, params, form=x_error_form)
-    return counts
+    n_z, m_z, n_c, n_e, e_z = z_basis_counts(counts, params)
+    n_x, m_x = x_basis_counts(a, b, geom, params)
+    return replace(counts, n_z=n_z, m_z=m_z, n_C_z=n_c, n_E_z=n_e, E_z=e_z, n_x=n_x, m_x=m_x)

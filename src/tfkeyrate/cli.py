@@ -43,12 +43,8 @@ from .event_simulator import compare_with_analytics, oracle_tally
 from .keyrate_engine import (
     MODE_ASYMPTOTIC,
     MODE_FINITE,
-    ChernoffLedger,
     InfeasibleDecoyError,
-    estimate_s0mub_z,
-    estimate_s11_x,
-    estimate_s11_z,
-    estimate_singles_yields,
+    evaluate_counts,
     evaluate_link,
 )
 from .planner import (
@@ -462,10 +458,7 @@ def cmd_keyrate(doc: ScenarioDocument, args: argparse.Namespace) -> int:
 
     a, b = near.setting, far.setting
     if doc.keyrate["optimize_sources"]:
-        plan = optimize_link(
-            geom, params, ALL_LINK_VARIABLES, initial=(a, b), seed=seed, mode=mode,
-            threads=args.threads,
-        )
+        plan = optimize_link(geom, params, ALL_LINK_VARIABLES, initial=(a, b), seed=seed, mode=mode)
         a, b, params = plan.a, plan.b, plan.params
     elif doc.keyrate["optimize_delta"]:
         params, _, _, _ = polish_delta(a, b, geom, params, mode)
@@ -532,7 +525,6 @@ def cmd_scan(doc: ScenarioDocument, args: argparse.Namespace) -> int:
         seed=seed,
         n_starts=doc.scan["n_starts"],
         warm_random_starts=doc.scan["warm_random_starts"],
-        threads=args.threads,
     )
     lines = [CSV_SCAN_HEADER]
     lines.extend(
@@ -570,7 +562,6 @@ def cmd_network(doc: ScenarioDocument, args: argparse.Namespace) -> int:
         orientation=doc.network["orientation"],
         n_starts=doc.network["n_starts"],
         mode=MODE_ASYMPTOTIC if args.asymptotic else MODE_FINITE,
-        threads=args.threads,
     )
     lines = [CSV_NETWORK_HEADER]
     for p in result.pairs:
@@ -602,38 +593,34 @@ def cmd_montecarlo(doc: ScenarioDocument, args: argparse.Namespace) -> int:
     rows = compare_with_analytics(tally, a, b, geom, doc.params)
     flagged = [r.name for r in rows if abs(r.z_score) > 3.0]
 
-    counts = tally.observed_counts()
     params = replace(doc.params, N=float(rounds))
     bounds: dict[str, Any]
-    ledger = ChernoffLedger()
     try:
-        y01, y10 = estimate_singles_yields(counts, a, b, params, MODE_FINITE, ledger)
-        s11_z = estimate_s11_z(counts, a, b, params, MODE_FINITE, ledger, yields=(y01, y10))
-        s11_x = estimate_s11_x(counts, a, b, geom, params, MODE_FINITE, ledger, yields=(y01, y10))
-        s0mub = estimate_s0mub_z(counts, a, b, params, MODE_FINITE, ledger)
+        dec = evaluate_counts(tally.observed_counts(), a, b, geom, params).decoy
+    except InfeasibleDecoyError as exc:
+        bounds = {"feasible": False, "reason": str(exc)}
+    else:
         y10_true, y01_true = single_photon_yields(geom, params)
         bounds = {
             "feasible": True,
-            "y01_lower": y01,
+            "y01_lower": dec.y01_lower,
             "y01_true": y01_true,
-            "y10_lower": y10,
+            "y10_lower": dec.y10_lower,
             "y10_true": y10_true,
-            "s11_z_lower": s11_z,
+            "s11_z_lower": dec.s11_z_lower,
             "s11_z_true": tally.s11_z_true,
-            "s11_x_lower": s11_x,
+            "s11_x_lower": dec.s11_x_lower,
             "s11_x_true_events": 2 * tally.s11_x_true_pairs,
-            "s0mub_lower": s0mub,
+            "s0mub_lower": dec.s0mub_z_lower,
             "s0mub_true": tally.s0mub_true,
         }
         bounds["ordering_ok"] = bool(
-            y01 <= y01_true
-            and y10 <= y10_true
-            and s11_z <= tally.s11_z_true
-            and s11_x <= 2 * tally.s11_x_true_pairs
-            and s0mub <= tally.s0mub_true
+            dec.y01_lower <= y01_true
+            and dec.y10_lower <= y10_true
+            and dec.s11_z_lower <= tally.s11_z_true
+            and dec.s11_x_lower <= 2 * tally.s11_x_true_pairs
+            and dec.s0mub_z_lower <= tally.s0mub_true
         )
-    except InfeasibleDecoyError as exc:
-        bounds = {"feasible": False, "reason": str(exc)}
 
     results = {
         "rounds": rounds,
@@ -710,7 +697,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: TFKEYRATE_THREADS or 1)")
+                       help="worker threads for the montecarlo shards only (default: TFKEYRATE_THREADS or 1)")
         p.add_argument("--asymptotic", action="store_true",
                        help="asymptotic mode (keyrate and network)")
     return parser

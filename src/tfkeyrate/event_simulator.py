@@ -40,10 +40,7 @@ from .channel_model import (
     SourceSetting,
     SystemParams,
     observed_statistics,
-    single_photon_yields,
-    z_basis_counts,
 )
-from . import keyrate_engine
 
 SHARD_ROUNDS = 1_000_000
 
@@ -152,13 +149,15 @@ class MonteCarloTally:
         return json.dumps(self.summary(), indent=2, sort_keys=True)
 
     def observed_counts(self) -> ObservedCounts:
-        """The tally as decoy-estimation input; needs both matching passes."""
+        """The tally as decoy-estimation input; needs both matching passes.
+        A tally without Z pairs gets the error rate 0."""
         c = self.clicks
         return ObservedCounts(
             x={k: float(v) for k, v in c.items()},
             x_oo_d=float(c[("ohat", "ohat")] + c[("ohat", "o")] + c[("o", "ohat")]),
             n_z=float(self.n_z),
             m_z=float(self.m_z),
+            E_z=self.m_z / self.n_z if self.n_z else 0.0,
             n_x=float(self.n_x),
             m_x=float(self.m_x),
         )
@@ -421,7 +420,7 @@ def post_match_z(tally: MonteCarloTally) -> tuple[int, int]:
     return tally.n_z, tally.m_z
 
 
-def post_match_x(tally: MonteCarloTally, params: SystemParams) -> tuple[int, int]:
+def post_match_x(tally: MonteCarloTally) -> tuple[int, int]:
     """Pair retained X events greedily in arrival order and count errors.
 
     Every retained event lies in the slice [sigma, sigma+delta] on one of
@@ -429,9 +428,9 @@ def post_match_x(tally: MonteCarloTally, params: SystemParams) -> tuple[int, int
     matching condition |theta_i - theta_j| close to 0 or pi; the arm bit is
     already folded into each event's parity bit u, and a pair is an error
     exactly when u_i differs from u_j.  m_x is reported in event units
-    (two per error pair) to match the analytic bookkeeping.
+    (two per error pair) to match the analytic bookkeeping.  The slice
+    window was applied at simulation time.
     """
-    del params  # window already applied at simulation time; kept for symmetry
     u = tally.x_u
     n_kept = u.shape[0]
     n_pairs = n_kept // 2
@@ -464,7 +463,7 @@ def oracle_tally(
     """simulate_rounds plus both matching passes."""
     tally = simulate_rounds(a, b, geom, params, n_rounds, seed, threads=threads)
     post_match_z(tally)
-    post_match_x(tally, params)
+    post_match_x(tally)
     return tally
 
 
@@ -554,7 +553,7 @@ def compare_with_analytics(
     model actually realizes.
     """
     scaled = replace(params, N=float(tally.n_rounds))
-    counts = observed_statistics(a, b, geom, scaled, x_error_form="first_principles")
+    counts = observed_statistics(a, b, geom, scaled)
     rows: list[ComparisonRow] = []
 
     def add(name: str, observed: float, expected: float) -> None:

@@ -7,6 +7,11 @@ effective single-photon Z and X pair counts, bound the X-basis error count by
 subtracting/compensating vacuum contributions, then lift the X error rate to
 a Z phase-error rate with the random-sampling correction.
 
+evaluate_counts is the only place the chain runs, for both modes and for
+any counts: evaluate_link feeds it the expected counts of a link, the
+montecarlo command the tally of a simulated run.  Asymptotic mode is the
+same path with every conversion the identity and no finite-size penalties.
+
 Every expected<->observed conversion is charged to a ChernoffLedger.  The
 standard finite-key pipeline performs exactly 13 of them (the count the
 overall failure probability is budgeted for):
@@ -53,7 +58,8 @@ MODE_ASYMPTOTIC = "asymptotic"
 
 
 class InfeasibleDecoyError(RuntimeError):
-    """A decoy bound collapsed to zero or below; the link yields no key."""
+    """A decoy bound collapsed to zero or below, or no Z-basis pair was
+    formed; the link yields no key."""
 
 
 class MissingDeclareVacuumError(ValueError):
@@ -68,9 +74,6 @@ class ChernoffLedger:
 
     def charge(self, label: str) -> None:
         self.entries.append(label)
-
-    def count(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -119,36 +122,25 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _expected_lower(x: float, eps: float, mode: str, ledger: ChernoffLedger | None, label: str) -> float:
+def _chernoff(
+    x: float,
+    eps: float,
+    mode: str,
+    ledger: ChernoffLedger | None,
+    label: str,
+    *,
+    observed: bool = False,
+    upper: bool = False,
+) -> float:
+    """One side of a Chernoff conversion, charged to the ledger: bounds on
+    an expectation given a count, or with observed=True on a count given its
+    expectation.  Asymptotic mode takes the value itself and charges nothing."""
     if mode == MODE_ASYMPTOTIC:
         return x
     if ledger is not None:
         ledger.charge(label)
-    return chernoff_expected_bounds(x, eps)[0]
-
-
-def _expected_upper(x: float, eps: float, mode: str, ledger: ChernoffLedger | None, label: str) -> float:
-    if mode == MODE_ASYMPTOTIC:
-        return x
-    if ledger is not None:
-        ledger.charge(label)
-    return chernoff_expected_bounds(x, eps)[1]
-
-
-def _observed_lower(x_star: float, eps: float, mode: str, ledger: ChernoffLedger | None, label: str) -> float:
-    if mode == MODE_ASYMPTOTIC:
-        return x_star
-    if ledger is not None:
-        ledger.charge(label)
-    return chernoff_observed_bounds(x_star, eps)[0]
-
-
-def _observed_upper(x_star: float, eps: float, mode: str, ledger: ChernoffLedger | None, label: str) -> float:
-    if mode == MODE_ASYMPTOTIC:
-        return x_star
-    if ledger is not None:
-        ledger.charge(label)
-    return chernoff_observed_bounds(x_star, eps)[1]
+    bounds = chernoff_observed_bounds if observed else chernoff_expected_bounds
+    return bounds(x, eps)[1 if upper else 0]
 
 
 def estimate_singles_yields(
@@ -174,9 +166,9 @@ def estimate_singles_yields(
     eps = params.eps
     n_rounds = params.N
 
-    x_o_nu = _expected_lower(counts.x[("o", "nu")], eps, mode, ledger, "x[o,nu] lower (y01)")
-    x_ohat_mu = _expected_upper(counts.x[("ohat", "mu")], eps, mode, ledger, "x[ohat,mu] upper (y01)")
-    x_ood_up_b = _expected_upper(counts.x_oo_d, eps, mode, ledger, "x_oo_d upper (y01)")
+    x_o_nu = _chernoff(counts.x[("o", "nu")], eps, mode, ledger, "x[o,nu] lower (y01)")
+    x_ohat_mu = _chernoff(counts.x[("ohat", "mu")], eps, mode, ledger, "x[ohat,mu] upper (y01)", upper=True)
+    x_ood_up_b = _chernoff(counts.x_oo_d, eps, mode, ledger, "x_oo_d upper (y01)", upper=True)
     mu_b, nu_b = b.mu, b.nu
     y01 = (
         mu_b
@@ -188,9 +180,9 @@ def estimate_singles_yields(
         )
     )
 
-    x_nu_o = _expected_lower(counts.x[("nu", "o")], eps, mode, ledger, "x[nu,o] lower (y10)")
-    x_mu_ohat = _expected_upper(counts.x[("mu", "ohat")], eps, mode, ledger, "x[mu,ohat] upper (y10)")
-    x_ood_up_a = _expected_upper(counts.x_oo_d, eps, mode, ledger, "x_oo_d upper (y10)")
+    x_nu_o = _chernoff(counts.x[("nu", "o")], eps, mode, ledger, "x[nu,o] lower (y10)")
+    x_mu_ohat = _chernoff(counts.x[("mu", "ohat")], eps, mode, ledger, "x[mu,ohat] upper (y10)", upper=True)
+    x_ood_up_a = _chernoff(counts.x_oo_d, eps, mode, ledger, "x_oo_d upper (y10)", upper=True)
     mu_a, nu_a = a.mu, a.nu
     y10 = (
         mu_a
@@ -230,7 +222,7 @@ def estimate_s11_z(
     if x_max <= 0.0:
         raise InfeasibleDecoyError("empty Z-basis matching pools")
     s11_z_star = z01 * z10 / x_max
-    return _observed_lower(s11_z_star, params.eps, mode, ledger, "s11_z observed lower")
+    return _chernoff(s11_z_star, params.eps, mode, ledger, "s11_z observed lower", observed=True)
 
 
 def estimate_s0mub_z(
@@ -255,8 +247,8 @@ def estimate_s0mub_z(
         raise MissingDeclareVacuumError("s0mub rescaling needs nonzero declared-vacuum probability")
     eps = params.eps
 
-    x_ood_low = _expected_lower(counts.x_oo_d, eps, mode, ledger, "x_oo_d lower (s0mub)")
-    x_ohat_mu_low = _expected_lower(counts.x[("ohat", "mu")], eps, mode, ledger, "x[ohat,mu] lower (s0mub)")
+    x_ood_low = _chernoff(counts.x_oo_d, eps, mode, ledger, "x_oo_d lower (s0mub)")
+    x_ohat_mu_low = _chernoff(counts.x[("ohat", "mu")], eps, mode, ledger, "x[ohat,mu] lower (s0mub)")
 
     x_o_mu = a.p_o * x_ohat_mu_low / a.p_ohat
     x_o_o = a.p_o * b.p_o * x_ood_low / p_ood
@@ -266,7 +258,7 @@ def estimate_s0mub_z(
     if x_max <= 0.0:
         raise InfeasibleDecoyError("empty Z-basis matching pools")
     s0mub_star = (x_o_mu * z00 + x_o_o * z0mub) / x_max
-    return _observed_lower(s0mub_star, eps, mode, ledger, "s0mub_z observed lower")
+    return _chernoff(s0mub_star, eps, mode, ledger, "s0mub_z observed lower", observed=True)
 
 
 def _inverse_gain_integral(a: SourceSetting, b: SourceSetting, geom: LinkGeometry, params: SystemParams) -> float:
@@ -319,7 +311,7 @@ def estimate_s11_x(
         / math.pi
         * integral
     )
-    return _observed_lower(s11_x_star, params.eps, mode, ledger, "s11_x observed lower")
+    return _chernoff(s11_x_star, params.eps, mode, ledger, "s11_x observed lower", observed=True)
 
 
 def estimate_e11_x(
@@ -353,8 +345,8 @@ def estimate_e11_x(
         raise MissingDeclareVacuumError("vacuum error compensation needs declared-vacuum events")
     eps = params.eps
     if x_ood_expected_bounds is None:
-        x_ood_low = _expected_lower(counts.x_oo_d, eps, mode, ledger, "x_oo_d lower (e11)")
-        x_ood_up = _expected_upper(counts.x_oo_d, eps, mode, ledger, "x_oo_d upper (e11)")
+        x_ood_low = _chernoff(counts.x_oo_d, eps, mode, ledger, "x_oo_d lower (e11)")
+        x_ood_up = _chernoff(counts.x_oo_d, eps, mode, ledger, "x_oo_d upper (e11)", upper=True)
     else:
         x_ood_low, x_ood_up = x_ood_expected_bounds
     q00_low = x_ood_low / (params.N * p_ood)
@@ -365,8 +357,8 @@ def estimate_e11_x(
     integral = _inverse_gain_integral(a, b, geom, params)
     n00_star = pref * math.exp(-2.0 * (a.nu + b.nu)) * q00_up * q00_up * integral
 
-    m_vac = _observed_lower(n_vac_star / 2.0, eps, mode, ledger, "m_vac observed lower")
-    m00 = _observed_upper(n00_star / 2.0, eps, mode, ledger, "m00 observed upper")
+    m_vac = _chernoff(n_vac_star / 2.0, eps, mode, ledger, "m_vac observed lower", observed=True)
+    m00 = _chernoff(n00_star / 2.0, eps, mode, ledger, "m00 observed upper", observed=True, upper=True)
 
     t11 = max(counts.m_x - m_vac + m00, 0.0)
     if s11_x_lower is None:
@@ -383,12 +375,15 @@ def estimate_phi11_z(dec: DecoyEstimates, params: SystemParams, mode: str = MODE
     Finite mode adds the random-sampling correction; asymptotic mode equates
     the phase-error rate with the X-basis bit-error rate.
     """
+    return _phi11_z_upper(dec.s11_z_lower, dec.s11_x_lower, dec.e11_x_upper, params.eps, mode)
+
+
+def _phi11_z_upper(s11_z_lower: float, s11_x_lower: float, lam: float, eps: float, mode: str) -> float:
     _check_mode(mode)
     if mode == MODE_ASYMPTOTIC:
-        return min(dec.e11_x_upper, 0.5)
-    if dec.s11_z_lower <= 0.0 or dec.s11_x_lower <= 0.0:
+        return min(lam, 0.5)
+    if s11_z_lower <= 0.0 or s11_x_lower <= 0.0:
         return 0.5
-    lam = dec.e11_x_upper
     if lam >= 0.5:
         return 0.5
     if lam <= 0.0:
@@ -396,8 +391,7 @@ def estimate_phi11_z(dec: DecoyEstimates, params: SystemParams, mode: str = MODE
         # bound saturates; unreachable in finite mode where the compensation
         # term keeps the rate positive
         return 0.5
-    gamma = random_sampling_gamma(dec.s11_z_lower, dec.s11_x_lower, lam, params.eps)
-    return min(lam + gamma, 0.5)
+    return min(lam + random_sampling_gamma(s11_z_lower, s11_x_lower, lam, eps), 0.5)
 
 
 def key_length(
@@ -405,18 +399,24 @@ def key_length(
     dec: DecoyEstimates,
     budget: EpsilonBudget,
     params: SystemParams,
+    mode: str = MODE_FINITE,
 ) -> KeyRateResult:
-    """Finite-key secret key length and its term-by-term breakdown."""
+    """Secret key length and its term-by-term breakdown; asymptotic mode
+    has the same terms without the finite-size penalties."""
+    _check_mode(mode)
     if counts.n_z is None or counts.E_z is None:
         raise ValueError("Z-basis totals missing; populate counts via z_basis_counts first")
     if counts.n_z <= 0.0:
-        raise ValueError("key length undefined without Z-basis pairs")
+        raise InfeasibleDecoyError("key length undefined without Z-basis pairs")
     vacuum_term = dec.s0mub_z_lower
     single_term = dec.s11_z_lower * (1.0 - binary_entropy(dec.phi11_z_upper))
     ec_term = counts.n_z * params.f * binary_entropy(counts.E_z)
-    pen_cor = math.log2(2.0 / budget.eps_cor)
-    pen_sec = 2.0 * math.log2(2.0 / (budget.eps_prime * budget.eps_hat))
-    pen_pa = 2.0 * math.log2(1.0 / (2.0 * budget.eps_pa))
+    if mode == MODE_ASYMPTOTIC:
+        pen_cor = pen_sec = pen_pa = 0.0
+    else:
+        pen_cor = math.log2(2.0 / budget.eps_cor)
+        pen_sec = 2.0 * math.log2(2.0 / (budget.eps_prime * budget.eps_hat))
+        pen_pa = 2.0 * math.log2(1.0 / (2.0 * budget.eps_pa))
     ell_raw = vacuum_term + single_term - ec_term - pen_cor - pen_sec - pen_pa
     ell = max(ell_raw, 0.0)
     return KeyRateResult(
@@ -432,36 +432,23 @@ def key_length(
     )
 
 
-def asymptotic_rate(counts: ObservedCounts, dec_asymptotic: DecoyEstimates, params: SystemParams) -> float:
-    """Asymptotic key rate: same structure with expected values throughout,
-    the phase-error rate equal to the X bit-error rate, and no penalties."""
-    if counts.n_z is None or counts.E_z is None:
-        raise ValueError("Z-basis totals missing")
-    ell = (
-        dec_asymptotic.s0mub_z_lower
-        + dec_asymptotic.s11_z_lower * (1.0 - binary_entropy(dec_asymptotic.phi11_z_upper))
-        - counts.n_z * params.f * binary_entropy(counts.E_z)
-    )
-    return max(ell, 0.0) / params.N
-
-
-def evaluate_link(
+def evaluate_counts(
+    counts: ObservedCounts,
     a: SourceSetting,
     b: SourceSetting,
     geom: LinkGeometry,
     params: SystemParams,
     mode: str = MODE_FINITE,
-    x_error_form: str = "first_principles",
 ) -> LinkEvaluation:
-    """Run the full estimation pipeline for one link orientation.
+    """Run the decoy chain and the key length on one set of counts.
 
+    counts may be expected (observed_statistics) or simulated
+    (MonteCarloTally.observed_counts, with params.N the simulated rounds).
     Raises InfeasibleDecoyError when the yield bounds collapse; callers that
     scan or optimize treat that as a zero-rate point.
     """
     _check_mode(mode)
-    counts = observed_statistics(a, b, geom, params, x_error_form=x_error_form)
     ledger = ChernoffLedger()
-
     yields = estimate_singles_yields(counts, a, b, params, mode=mode, ledger=ledger)
     s11_z = estimate_s11_z(counts, a, b, params, mode=mode, ledger=ledger, yields=yields)
     s0mub = estimate_s0mub_z(counts, a, b, params, mode=mode, ledger=ledger)
@@ -491,41 +478,25 @@ def evaluate_link(
         s11_x_lower=s11_x,
         t11_x_upper=t11,
         e11_x_upper=e11,
-        phi11_z_upper=0.0,
-    )
-    phi = estimate_phi11_z(dec, params, mode=mode)
-    dec = DecoyEstimates(
-        y01_lower=yields[0],
-        y10_lower=yields[1],
-        s0mub_z_lower=s0mub,
-        s11_z_lower=s11_z,
-        s11_x_lower=s11_x,
-        t11_x_upper=t11,
-        e11_x_upper=e11,
-        phi11_z_upper=phi,
+        phi11_z_upper=_phi11_z_upper(s11_z, s11_x, e11, params.eps, mode),
     )
     budget = compose_epsilons(params.eps)
-    if mode == MODE_ASYMPTOTIC:
-        rate = asymptotic_rate(counts, dec, params)
-        ell = rate * params.N
-        result = KeyRateResult(
-            ell=ell,
-            rate=rate,
-            vacuum_term=dec.s0mub_z_lower,
-            single_photon_term=dec.s11_z_lower * (1.0 - binary_entropy(dec.phi11_z_upper)),
-            error_correction_term=counts.n_z * params.f * binary_entropy(counts.E_z),
-            correctness_penalty=0.0,
-            secrecy_penalty=0.0,
-            privacy_amplification_penalty=0.0,
-            ell_unclamped=ell,
-        )
-    else:
-        result = key_length(counts, dec, budget, params)
     return LinkEvaluation(
-        result=result,
+        result=key_length(counts, dec, budget, params, mode),
         decoy=dec,
         counts=counts,
         budget=budget,
         chernoff_applications=tuple(ledger.entries),
         mode=mode,
     )
+
+
+def evaluate_link(
+    a: SourceSetting,
+    b: SourceSetting,
+    geom: LinkGeometry,
+    params: SystemParams,
+    mode: str = MODE_FINITE,
+) -> LinkEvaluation:
+    """The expected counts of one link orientation through evaluate_counts."""
+    return evaluate_counts(observed_statistics(a, b, geom, params), a, b, geom, params, mode)

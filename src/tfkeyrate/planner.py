@@ -21,15 +21,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .channel_model import LinkGeometry, SourceSetting, SystemParams
 from .diagnostics import plob_bound
-from .event_simulator import resolve_threads
 from .keyrate_engine import (
     MODE_ASYMPTOTIC,
     MODE_FINITE,
@@ -100,11 +97,10 @@ def _safe_rate(
     geom: LinkGeometry,
     params: SystemParams,
     mode: str,
-    x_error_form: str,
 ) -> tuple[float, LinkEvaluation | None]:
     """Rate with decoy-infeasible and degenerate points mapped to zero."""
     try:
-        ev = evaluate_link(a, b, geom, params, mode=mode, x_error_form=x_error_form)
+        ev = evaluate_link(a, b, geom, params, mode=mode)
     except (InfeasibleDecoyError, ValueError):
         return 0.0, None
     return ev.result.rate, ev
@@ -285,7 +281,6 @@ def polish_delta(
     geom: LinkGeometry,
     params: SystemParams,
     mode: str = MODE_FINITE,
-    x_error_form: str = "first_principles",
 ) -> tuple[SystemParams, float, LinkEvaluation | None, int]:
     """Deterministic slice-width refinement at fixed source settings.
 
@@ -294,24 +289,27 @@ def polish_delta(
     function of its arguments, so re-polishing frozen settings reproduces
     the optimization result exactly.
     """
+    # imported where it runs, so commands that never optimize skip its import cost
+    from scipy.optimize import minimize_scalar
+
     evals = 0
 
     def rate_at(delta: float) -> float:
         nonlocal evals
         evals += 1
-        return _safe_rate(a, b, geom, replace(params, delta=delta), mode, x_error_form)[0]
+        return _safe_rate(a, b, geom, replace(params, delta=delta), mode)[0]
 
     candidates = [(rate_at(d), d) for d in _DELTA_GRID]
     best_rate, best_delta = max(candidates, key=lambda c: (c[0], -c[1]))
     lo = max(best_delta - 1.5 * DEG, _DELTA_LO)
     hi = min(best_delta + 1.5 * DEG, _DELTA_HI)
-    res = _sciopt.minimize_scalar(
+    res = minimize_scalar(
         lambda d: -rate_at(d), bounds=(lo, hi), method="bounded", options={"xatol": 1e-6}
     )
     if -res.fun > best_rate:
         best_rate, best_delta = -res.fun, float(res.x)
     final_params = replace(params, delta=best_delta)
-    rate, ev = _safe_rate(a, b, geom, final_params, mode, x_error_form)
+    rate, ev = _safe_rate(a, b, geom, final_params, mode)
     evals += 1
     return final_params, rate, ev, evals
 
@@ -328,8 +326,6 @@ def optimize_link(
     max_evals_per_start: int = 900,
     structured: bool = True,
     mode: str = MODE_FINITE,
-    x_error_form: str = "first_principles",
-    threads: int | None = None,
 ) -> LinkPlan:
     """Multi-start simplex search over the free variables of one link.
 
@@ -339,6 +335,8 @@ def optimize_link(
     the whole procedure is deterministic given the seed.  Returns a
     zero-rate plan if no start reaches a positive rate.
     """
+    from scipy.optimize import minimize
+
     free = frozenset(free)
     base_a, base_b = initial if initial is not None else (_DEFAULT_BASE, _DEFAULT_BASE)
     transform = _Transform(free, base_a, base_b, params.delta)
@@ -358,26 +356,22 @@ def optimize_link(
             starts.extend(_structured_starts(transform, geom, params))
         starts.extend(_random_start(rng, transform, geom, params) for _ in range(n_starts))
 
-        def run_start(x0: np.ndarray) -> tuple[tuple[SourceSetting, SourceSetting], int]:
-            calls = 0
+        def objective(vec: np.ndarray) -> float:
+            nonlocal eval_count
+            eval_count += 1
+            try:
+                a, b, delta = transform.unpack(vec)
+            except ValueError:
+                return 1.0
+            rate, _ = _safe_rate(a, b, geom, replace(params, delta=delta), mode)
+            return -rate
 
-            def objective(vec: np.ndarray) -> float:
-                nonlocal calls
-                calls += 1
-                try:
-                    a, b, delta = transform.unpack(vec)
-                except ValueError:
-                    return 1.0
-                rate, _ = _safe_rate(
-                    a, b, geom, replace(params, delta=delta), mode, x_error_form
-                )
-                return -rate
-
+        for x0 in starts:
             # one simplex pass plus a restart with a fresh simplex at the
             # incumbent, which recovers most stalls of high-dimensional NM
             x, f_ref = x0, objective(x0)
             for _ in range(2):
-                res = _sciopt.minimize(
+                res = minimize(
                     objective,
                     x,
                     method="Nelder-Mead",
@@ -390,27 +384,17 @@ def optimize_link(
                 )
                 x, f_ref = res.x, res.fun
             a, b, _ = transform.unpack(x)
-            return (a, b), calls
-
-        workers = resolve_threads(threads)
-        if workers == 1 or len(starts) == 1:
-            outcomes = [run_start(x0) for x0 in starts]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run_start, starts))
-        for pair, calls in outcomes:
-            candidates.append(pair)
-            eval_count += calls
+            candidates.append((a, b))
 
     polish_width = "delta" in free
     best: tuple[float, tuple, SystemParams, SourceSetting, SourceSetting, LinkEvaluation | None] | None = None
     for a, b in candidates:
         if polish_width:
-            final_params, rate, ev, used = polish_delta(a, b, geom, params, mode, x_error_form)
+            final_params, rate, ev, used = polish_delta(a, b, geom, params, mode)
             eval_count += used
         else:
             final_params = params
-            rate, ev = _safe_rate(a, b, geom, params, mode, x_error_form)
+            rate, ev = _safe_rate(a, b, geom, params, mode)
             eval_count += 1
         order_key = (a.mu, a.nu, a.p_mu, a.p_nu, a.p_ohat, b.mu, b.nu, b.p_mu, b.p_nu, b.p_ohat, final_params.delta)
         if best is None or (rate, tuple(-v for v in order_key)) > (best[0], tuple(-v for v in best[1])):
@@ -528,14 +512,13 @@ def _evaluate_pair(
     params: SystemParams,
     orientation: str,
     mode: str,
-    x_error_form: str,
 ) -> tuple[float, float]:
     """Best polished (rate, delta) over the policy's orderings."""
     best: tuple[float, float] | None = None
     for keep in _orientations(first, second, orientation):
         (da, sa), (db, sb) = (first, second) if keep else (second, first)
         geom = LinkGeometry(da, db)
-        final_params, rate, _, _ = polish_delta(sa, sb, geom, params, mode, x_error_form)
+        final_params, rate, _, _ = polish_delta(sa, sb, geom, params, mode)
         key = (rate, -final_params.delta)
         if best is None or key > (best[0], -best[1]):
             best = (rate, final_params.delta)
@@ -550,8 +533,6 @@ def evaluate_network(
     orientation: str = "nearer_alice",
     n_starts: int = 16,
     mode: str = MODE_FINITE,
-    x_error_form: str = "first_principles",
-    threads: int | None = None,
 ) -> NetworkEvaluation:
     """Anchor-then-freeze network evaluation.
 
@@ -588,8 +569,6 @@ def evaluate_network(
                     seed=seed + idx,
                     n_starts=n_starts,
                     mode=mode,
-                    x_error_form=x_error_form,
-                    threads=threads,
                 )
                 settings[na] = plan.a
                 settings[nb] = plan.b
@@ -604,7 +583,6 @@ def evaluate_network(
             scn.params,
             orientation,
             mode,
-            x_error_form,
         )
         total = distance[node_i.name] + distance[node_j.name]
         pairs.append(
@@ -672,8 +650,6 @@ def distance_scan(
     n_starts: int = 16,
     warm_random_starts: int = 4,
     mode: str = MODE_FINITE,
-    x_error_form: str = "first_principles",
-    threads: int | None = None,
 ) -> list[ScanRow]:
     """Optimized rate curve over ascending total distances.
 
@@ -702,8 +678,6 @@ def distance_scan(
             n_starts=n_starts if i == 0 else warm_random_starts,
             structured=(i == 0),
             mode=mode,
-            x_error_form=x_error_form,
-            threads=threads,
         )
         plans.append(plan)
         warm = ((plan.a, plan.b, plan.delta),)
@@ -711,7 +685,7 @@ def distance_scan(
     for i in range(len(grid) - 2, -1, -1):
         nxt = plans[i + 1]
         geom = channel.geometry(grid[i])
-        rate, ev = _safe_rate(nxt.a, nxt.b, geom, nxt.params, mode, x_error_form)
+        rate, ev = _safe_rate(nxt.a, nxt.b, geom, nxt.params, mode)
         if rate > plans[i].rate:
             plans[i] = replace(
                 plans[i], a=nxt.a, b=nxt.b, geom=geom, params=nxt.params, rate=rate,
@@ -720,7 +694,7 @@ def distance_scan(
 
     rows = []
     for total, plan in zip(grid, plans):
-        asym, _ = _safe_rate(plan.a, plan.b, plan.geom, plan.params, MODE_ASYMPTOTIC, x_error_form)
+        asym, _ = _safe_rate(plan.a, plan.b, plan.geom, plan.params, MODE_ASYMPTOTIC)
         rows.append(
             ScanRow(
                 total_km=total,

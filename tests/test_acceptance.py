@@ -323,7 +323,7 @@ def test_criterion_7_distance_scan_shape():
     grid = tuple(float(km) for km in range(100, 501, 50))
     rows = distance_scan(
         params, ChannelShape("symmetric"), grid,
-        seed=3, n_starts=6, warm_random_starts=2, threads=4,
+        seed=3, n_starts=6, warm_random_starts=2,
     )
     elapsed = time.time() - t0
 

@@ -1,5 +1,6 @@
 """Tests for interference gains, pair statistics, and basis tallies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -160,7 +161,7 @@ def test_z_counts_error_free_without_darks():
     params = _params(p_d=0.0, e_d_z=0.0)
     geom = LinkGeometry(80.0, 80.0)
     counts = expected_pair_counts(_SOURCE_A, _SOURCE_A, geom, params)
-    n_z, m_z, n_c, n_e, e_z = z_basis_counts(counts, _SOURCE_A, _SOURCE_A, geom, params)
+    n_z, m_z, n_c, n_e, e_z = z_basis_counts(counts, params)
     assert n_z > 0.0
     assert m_z == 0.0
     assert n_e == 0.0
@@ -174,12 +175,21 @@ def test_z_counts_bounded_by_matching_pool():
     for _ in range(50):
         geom = LinkGeometry(float(rng.uniform(5.0, 150.0)), float(rng.uniform(5.0, 150.0)))
         counts = expected_pair_counts(_SOURCE_A, _SOURCE_B, geom, params)
-        n_z, m_z, n_c, n_e, e_z = z_basis_counts(counts, _SOURCE_A, _SOURCE_B, geom, params)
+        n_z, m_z, n_c, n_e, e_z = z_basis_counts(counts, params)
         pool_o, pool_mu = z_pool_sizes(counts)
         assert math.isclose(n_z, n_c + n_e, rel_tol=1e-12)
         assert n_z <= min(pool_o, pool_mu) * (1.0 + 1e-12)
         assert 0.0 <= e_z <= 1.0
         assert 0.0 <= m_z <= n_z
+
+
+def test_z_counts_leave_their_argument_unchanged():
+    params = _params(p_d=1e-8, e_d_z=0.02)
+    counts = expected_pair_counts(_SOURCE_A, _SOURCE_B, LinkGeometry(60.0, 90.0), params)
+    before = dataclasses.replace(counts, x=dict(counts.x))
+    z_basis_counts(counts, params)
+    assert counts == before
+    assert counts.n_z is None and counts.E_z is None
 
 
 def test_z_counts_require_vacuum_rows():
@@ -188,7 +198,7 @@ def test_z_counts_require_vacuum_rows():
     geom = LinkGeometry(100.0, 100.0)
     counts = expected_pair_counts(no_vacuum, _SOURCE_B, geom, params)
     with pytest.raises(ValueError):
-        z_basis_counts(counts, no_vacuum, _SOURCE_B, geom, params)
+        z_basis_counts(counts, params)
 
 
 def test_z_error_mixing_under_misalignment():
@@ -196,8 +206,8 @@ def test_z_error_mixing_under_misalignment():
     clean = _params(p_d=1e-8, e_d_z=0.0)
     tilted = _params(p_d=1e-8, e_d_z=0.03)
     counts = expected_pair_counts(_SOURCE_A, _SOURCE_B, geom, clean)
-    _, m0, n_c0, n_e0, _ = z_basis_counts(counts, _SOURCE_A, _SOURCE_B, geom, clean)
-    _, m1, n_c1, n_e1, _ = z_basis_counts(counts, _SOURCE_A, _SOURCE_B, geom, tilted)
+    _, m0, n_c0, n_e0, _ = z_basis_counts(counts, clean)
+    _, m1, n_c1, n_e1, _ = z_basis_counts(counts, tilted)
     assert n_c1 == n_c0
     assert n_e1 == n_e0
     assert math.isclose(m1, 0.97 * n_e0 + 0.03 * n_c0, rel_tol=1e-12)
@@ -210,7 +220,7 @@ def test_z_error_rate_tracks_dark_counts():
     for p_d in (4e-8, 2e-8, 1e-8, 1e-10, 1e-12):
         params = _params(p_d=p_d)
         counts = expected_pair_counts(_SOURCE_A, _SOURCE_A, geom, params)
-        rates.append(z_basis_counts(counts, _SOURCE_A, _SOURCE_A, geom, params)[4])
+        rates.append(z_basis_counts(counts, params)[4])
     assert math.isclose(rates[0] / rates[1], 2.0, rel_tol=0.05)
     assert math.isclose(rates[1] / rates[2], 2.0, rel_tol=0.05)
     assert rates[-1] < 1e-9
@@ -309,7 +319,7 @@ def test_observed_statistics_fills_all_tallies():
     params = _params(p_d=1e-8, e_d_z=0.02)
     obs = observed_statistics(_SOURCE_A, _SOURCE_B, geom, params)
     counts = expected_pair_counts(_SOURCE_A, _SOURCE_B, geom, params)
-    n_z, m_z, n_c, n_e, e_z = z_basis_counts(counts, _SOURCE_A, _SOURCE_B, geom, params)
+    n_z, m_z, n_c, n_e, e_z = z_basis_counts(counts, params)
     n_x, m_x = x_basis_counts(_SOURCE_A, _SOURCE_B, geom, params)
     assert obs.x == counts.x
     assert (obs.n_z, obs.m_z, obs.n_C_z, obs.n_E_z, obs.E_z) == (n_z, m_z, n_c, n_e, e_z)

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -319,6 +321,18 @@ def test_sns_check_report(tmp_path):
     assert res["e1x_upper"] == 0.05
     assert res["phase_error_upper"] == 0.05
     assert 0.0 < res["y10"] == res["y01"] < 1.0
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # the optimizer is imported where it runs, so commands that never
+    # optimize skip its import cost
+    probe = "import sys, tfkeyrate.cli; print('scipy.optimize' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_commands_reject_missing_blocks(tmp_path, capsys):

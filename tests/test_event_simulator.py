@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -33,7 +34,15 @@ from tfkeyrate.event_simulator import (
     resolve_threads,
     simulate_rounds,
 )
-from tfkeyrate.keyrate_engine import MODE_ASYMPTOTIC, estimate_e11_x, estimate_s11_x
+from tfkeyrate.cli import main
+from tfkeyrate.keyrate_engine import (
+    MODE_ASYMPTOTIC,
+    MODE_FINITE,
+    InfeasibleDecoyError,
+    estimate_e11_x,
+    estimate_s11_x,
+    evaluate_counts,
+)
 
 
 def _dense_shard(a, b, geom, params, n, seed, shard_index):
@@ -252,7 +261,7 @@ def test_oracle_matches_manual_post_matching():
     manual = simulate_rounds(a, b, geom, params, 200_000, 7)
     assert manual.n_z is None and manual.m_x is None
     n_z, m_z = post_match_z(manual)
-    n_x, m_x = post_match_x(manual, params)
+    n_x, m_x = post_match_x(manual)
     assert (manual.n_z, manual.m_z) == (n_z, m_z)
     assert (manual.n_x, manual.m_x) == (n_x, m_x)
     oracle = oracle_tally(a, b, geom, params, n_rounds=200_000, seed=7)
@@ -328,10 +337,49 @@ def test_observed_counts_match_the_hand_built_counts(toy_tally):
         x_oo_d=float(t.clicks[("ohat", "ohat")] + t.clicks[("ohat", "o")] + t.clicks[("o", "ohat")]),
         n_z=float(t.n_z),
         m_z=float(t.m_z),
+        E_z=t.m_z / t.n_z,
         n_x=float(t.n_x),
         m_x=float(t.m_x),
     )
     assert t.observed_counts() == hand_built
+
+
+def test_simulated_counts_run_the_shared_estimation_path(toy_tally, tmp_path):
+    # toy_tally is the montecarlo command's tally for this config and seed
+    a, b, geom, params = mc_toy_config()
+    scaled = dataclasses.replace(params, N=float(toy_tally.n_rounds))
+    ev = evaluate_counts(toy_tally.observed_counts(), a, b, geom, scaled, MODE_FINITE)
+    assert len(set(ev.chernoff_applications)) == len(ev.chernoff_applications) == 13
+
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "montecarlo_toy.json")
+    with open(config, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["montecarlo"] = {"rounds": toy_tally.n_rounds, "seed": toy_tally.seed}
+    cfg, out = tmp_path / "mc.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["montecarlo", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))["results"]
+    assert report["tally"] == toy_tally.summary()
+    bounds = report["decoy_bounds"]
+    dec = ev.decoy
+    for key, value in (
+        ("y01_lower", dec.y01_lower),
+        ("y10_lower", dec.y10_lower),
+        ("s11_z_lower", dec.s11_z_lower),
+        ("s11_x_lower", dec.s11_x_lower),
+        ("s0mub_lower", dec.s0mub_z_lower),
+    ):
+        assert bounds[key] == float(f"{value:.12g}"), key
+
+
+def test_a_tally_without_z_pairs_yields_no_key(toy_tally):
+    a, b, geom, params = mc_toy_config()
+    empty = dataclasses.replace(toy_tally, n_z=0, m_z=0)
+    counts = empty.observed_counts()
+    assert counts.E_z == 0.0
+    scaled = dataclasses.replace(params, N=float(toy_tally.n_rounds))
+    with pytest.raises(InfeasibleDecoyError, match="without Z-basis pairs"):
+        evaluate_counts(counts, a, b, geom, scaled)
 
 
 def test_round_iterator_exposes_consistent_records():

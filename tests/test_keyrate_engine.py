@@ -21,7 +21,6 @@ from tfkeyrate.keyrate_engine import (
     DecoyEstimates,
     InfeasibleDecoyError,
     MissingDeclareVacuumError,
-    asymptotic_rate,
     estimate_e11_x,
     estimate_phi11_z,
     estimate_s0mub_z,
@@ -276,9 +275,20 @@ def test_finite_rate_never_beats_asymptotic():
         assert finite.result.rate <= loose.result.rate
         assert math.isclose(
             loose.result.rate,
-            asymptotic_rate(loose.counts, loose.decoy, params),
+            key_length(loose.counts, loose.decoy, loose.budget, params, MODE_ASYMPTOTIC).rate,
             rel_tol=1e-12,
         )
+
+
+def test_asymptotic_zero_rate_link_reports_its_raw_length():
+    # misalignment makes error correction cost more than the single-photon
+    # term yields, so the key length clamps to zero in asymptotic mode too
+    params = _params(e_d_z=0.1)
+    ev = evaluate_link(
+        _SOURCE_A, _SOURCE_B, LinkGeometry(100.0, 100.0), params, mode=MODE_ASYMPTOTIC
+    )
+    assert ev.result.ell_unclamped < 0 == ev.result.ell
+    assert ev.result.rate == 0.0
 
 
 def test_evaluate_link_decoy_invariants():
