@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .finite_stats import bessel_i0, integrate_adaptive_simpson
+from .finite_stats import integrate_adaptive_simpson
 
 INTENSITY_LABELS = ("mu", "nu", "o", "ohat")
 
@@ -35,6 +35,9 @@ class SourceSetting:
     p_ohat: float
 
     def __post_init__(self) -> None:
+        values = (self.mu, self.nu, self.p_mu, self.p_nu, self.p_o, self.p_ohat)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"source settings must be finite, got {values}")
         if not self.mu > self.nu > 0.0:
             raise ValueError(f"intensities must satisfy mu > nu > 0, got mu={self.mu}, nu={self.nu}")
         probs = (self.p_mu, self.p_nu, self.p_o, self.p_ohat)
@@ -89,14 +92,14 @@ class SystemParams:
             raise ValueError(f"eta_d must be in (0, 1], got {self.eta_d}")
         if not 0.0 <= self.p_d < 1.0:
             raise ValueError(f"p_d must be in [0, 1), got {self.p_d}")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0 dB/km, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"alpha must be finite and >= 0 dB/km, got {self.alpha}")
         if not 0.0 <= self.e_d_z <= 1.0:
             raise ValueError(f"e_d_z must be in [0, 1], got {self.e_d_z}")
-        if self.f < 1.0:
-            raise ValueError(f"error-correction efficiency f must be >= 1, got {self.f}")
-        if self.N <= 0.0:
-            raise ValueError(f"round count N must be positive, got {self.N}")
+        if not (math.isfinite(self.f) and self.f >= 1.0):
+            raise ValueError(f"error-correction efficiency f must be finite and >= 1, got {self.f}")
+        if not (math.isfinite(self.N) and self.N > 0.0):
+            raise ValueError(f"round count N must be finite and positive, got {self.N}")
         if not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be finite, got {self.sigma}")
         if not 0.0 < self.delta <= math.pi / 2.0:
@@ -113,8 +116,8 @@ class LinkGeometry:
     l_b: float
 
     def __post_init__(self) -> None:
-        if self.l_a < 0.0 or self.l_b < 0.0:
-            raise ValueError(f"fiber lengths must be >= 0 km, got {self.l_a}, {self.l_b}")
+        if not all(math.isfinite(x) and x >= 0.0 for x in (self.l_a, self.l_b)):
+            raise ValueError(f"fiber lengths must be finite and >= 0 km, got {self.l_a}, {self.l_b}")
 
     def transmittances(self, params: SystemParams) -> tuple[float, float]:
         """End-to-detector transmittances (eta_a, eta_b) including eta_d."""
@@ -174,9 +177,15 @@ def _exp_gap(t: float, half_sum: float, p_d: float) -> float:
 
 
 def _i0_minus_one(x: float) -> float:
-    """I0(x) - 1 without cancellation for small x."""
-    if x >= 15.0:
-        return bessel_i0(x) - 1.0
+    """I0(x) - 1 for x >= 0 by the power series sum_k>=1 (x^2/4)^k / (k!)^2.
+
+    Every term is positive, so there is no cancellation at small x, and the
+    sum stays within 1e-12 relative of I0(x) - 1 up to x = 700.  I0 leaves
+    the float range near x = 714; past it the sum is inf, and once a term
+    overflows the loop never stops, so x > 700 raises.
+    """
+    if not x <= 700.0:
+        raise OverflowError(f"I0(x) - 1 is evaluated for x <= 700, got {x}")
     term = 1.0
     total = 0.0
     quarter_sq = 0.25 * x * x

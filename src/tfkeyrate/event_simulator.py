@@ -16,6 +16,10 @@ and a detector split; they are kept in random order, independent of their
 outcomes.  The tallies have the same joint distribution as drawing every
 round, at a cost of O(events) plus O(classes x shards).
 
+Every result is one frozen MonteCarloTally: each shard returns the tally of
+its own rounds, simulate_rounds merges them, and the Z and X matching passes
+return a new tally with their fields set, leaving their argument unchanged.
+
 Determinism: rounds are partitioned into fixed-size shards, each driven by a
 counter-based Philox stream keyed by (seed, shard index); the two matching
 passes use dedicated streams.  Tallies are therefore bit-exact functions of
@@ -24,12 +28,11 @@ passes use dedicated streams.  Tallies are therefore bit-exact functions of
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,8 +52,10 @@ SHARD_ROUNDS = 1_000_000
 _Z_MATCH_STREAM = 1 << 62
 _X_MATCH_STREAM = (1 << 62) + 1
 
+# intensity codes in INTENSITY_LABELS order; class 4 i + j is the label
+# pair _CLASS_LABELS[4 i + j]
 _MU, _NU, _O, _OHAT = 0, 1, 2, 3
-_CODE_TO_LABEL = {_MU: "mu", _NU: "nu", _O: "o", _OHAT: "ohat"}
+_CLASS_LABELS = tuple(itertools.product(INTENSITY_LABELS, repeat=2))
 
 # Flag patterns of a round that can click: bit 0 at least one photon
 # arrives, bit 1 a left dark count, bit 2 a right dark count.
@@ -62,29 +67,9 @@ def _stream(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(stream_id)))
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One protocol round, for inspection and scalar cross-checks."""
-
-    k_a: float
-    k_b: float
-    theta_a: float
-    theta_b: float
-    phi_ab: float
-    r_a: int
-    r_b: int
-    n_a: int
-    n_b: int
-    outcome: str  # none | L | R | both-discarded
-
-    @property
-    def theta(self) -> float:
-        return (self.theta_a - self.theta_b + self.phi_ab) % (2.0 * math.pi)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MonteCarloTally:
-    """Merged per-shard event data plus post-matching results.
+    """Event data of a run of rounds plus post-matching results.
 
     Event pools keep one row per successful click so that the matching
     passes can run globally (pairing within shards would bias the pair
@@ -94,8 +79,6 @@ class MonteCarloTally:
     n_rounds: int
     seed: int
     e_d_z: float
-    sigma: float
-    delta: float
     clicks: dict[tuple[str, str], int]
     # Z pools, shard by shard in random order within a shard: events where
     # the first user sent o / mu
@@ -113,7 +96,7 @@ class MonteCarloTally:
     o_mu_single_clicks: int
     mu_o_single_rounds: int
     mu_o_single_clicks: int
-    # filled by the matching passes
+    # set by the matching passes
     n_z: int | None = None
     m_z: int | None = None
     z_discarded: int | None = None
@@ -145,9 +128,6 @@ class MonteCarloTally:
             "mu_o_single_clicks": self.mu_o_single_clicks,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), indent=2, sort_keys=True)
-
     def observed_counts(self) -> ObservedCounts:
         """The tally as decoy-estimation input; needs both matching passes.
         A tally without Z pairs gets the error rate 0."""
@@ -163,21 +143,12 @@ class MonteCarloTally:
         )
 
 
-@dataclass
-class _ShardData:
-    clicks: np.ndarray  # 4x4 success counts
-    z_o_bob_mu: np.ndarray
-    z_o_nb: np.ndarray
-    z_mu_bob_mu: np.ndarray
-    z_mu_na: np.ndarray
-    z_mu_nb: np.ndarray
-    x_u: np.ndarray
-    x_tag10: np.ndarray
-    x_tag01: np.ndarray
-    o_mu_single_rounds: int
-    o_mu_single_clicks: int
-    mu_o_single_rounds: int
-    mu_o_single_clicks: int
+# Tally fields simulate_rounds merges: event pools are concatenated shard by
+# shard, counters summed.
+_POOL_FIELDS = ("z_o_bob_mu", "z_o_nb", "z_mu_bob_mu", "z_mu_na", "z_mu_nb", "x_u", "x_tag10", "x_tag01")
+_COUNT_FIELDS = (
+    "o_mu_single_rounds", "o_mu_single_clicks", "mu_o_single_rounds", "mu_o_single_clicks"
+)
 
 
 def _simulate_shard(
@@ -188,7 +159,7 @@ def _simulate_shard(
     n: int,
     seed: int,
     shard_index: int,
-) -> _ShardData:
+) -> MonteCarloTally:
     rng = _stream(seed, shard_index)
     eta_a, eta_b = geom.transmittances(params)
     p_d = params.p_d
@@ -269,7 +240,7 @@ def _simulate_shard(
     success = np.logical_xor(click_left, click_right)
     det_right = success & click_right
 
-    clicks = np.bincount(cls[success], minlength=16).reshape(4, 4)
+    clicks = np.bincount(cls[success], minlength=16)
 
     bob_z = (ib == _O) | (ib == _MU)
     pool_o = success & (ia == _O) & bob_z
@@ -293,8 +264,11 @@ def _simulate_shard(
     silent_single = rng.binomial(silent[[o_mu, mu_o]], lam * np.exp(-lam))
 
     cap = np.iinfo(np.uint8).max
-    return _ShardData(
-        clicks=clicks,
+    return MonteCarloTally(
+        n_rounds=n,
+        seed=int(seed),
+        e_d_z=params.e_d_z,
+        clicks=dict(zip(_CLASS_LABELS, clicks.tolist())),
         z_o_bob_mu=(ib[pool_o] == _MU),
         z_o_nb=np.minimum(n_b[pool_o], cap).astype(np.uint8),
         z_mu_bob_mu=(ib[pool_mu] == _MU),
@@ -345,7 +319,7 @@ def simulate_rounds(
     ]
     workers = resolve_threads(threads)
 
-    def run(idx_size: tuple[int, int]) -> _ShardData:
+    def run(idx_size: tuple[int, int]) -> MonteCarloTally:
         idx, size = idx_size
         return _simulate_shard(a, b, geom, params, size, seed, idx)
 
@@ -356,40 +330,19 @@ def simulate_rounds(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             shards = list(pool.map(run, jobs))
 
-    clicks_matrix = sum(s.clicks for s in shards)
-    clicks = {
-        (_CODE_TO_LABEL[i], _CODE_TO_LABEL[j]): int(clicks_matrix[i, j])
-        for i in range(4)
-        for j in range(4)
-    }
-    return MonteCarloTally(
-        n_rounds=n_rounds,
-        seed=int(seed),
-        e_d_z=params.e_d_z,
-        sigma=params.sigma,
-        delta=params.delta,
-        clicks=clicks,
-        z_o_bob_mu=np.concatenate([s.z_o_bob_mu for s in shards]),
-        z_o_nb=np.concatenate([s.z_o_nb for s in shards]),
-        z_mu_bob_mu=np.concatenate([s.z_mu_bob_mu for s in shards]),
-        z_mu_na=np.concatenate([s.z_mu_na for s in shards]),
-        z_mu_nb=np.concatenate([s.z_mu_nb for s in shards]),
-        x_u=np.concatenate([s.x_u for s in shards]),
-        x_tag10=np.concatenate([s.x_tag10 for s in shards]),
-        x_tag01=np.concatenate([s.x_tag01 for s in shards]),
-        o_mu_single_rounds=sum(s.o_mu_single_rounds for s in shards),
-        o_mu_single_clicks=sum(s.o_mu_single_clicks for s in shards),
-        mu_o_single_rounds=sum(s.mu_o_single_rounds for s in shards),
-        mu_o_single_clicks=sum(s.mu_o_single_clicks for s in shards),
-    )
+    pools = {name: np.concatenate([getattr(s, name) for s in shards]) for name in _POOL_FIELDS}
+    counts = {name: sum(getattr(s, name) for s in shards) for name in _COUNT_FIELDS}
+    clicks = {label: sum(s.clicks[label] for s in shards) for label in _CLASS_LABELS}
+    return replace(shards[0], n_rounds=n_rounds, clicks=clicks, **pools, **counts)
 
 
-def post_match_z(tally: MonteCarloTally) -> tuple[int, int]:
+def post_match_z(tally: MonteCarloTally) -> MonteCarloTally:
     """Randomly pair the first user's silent-events pool against her signal
     pool, apply the second user's equal-intensity discard rule, and classify
     errors (his signal bin equals hers; misalignment flips a pair's class).
 
-    Returns (n_z, m_z) and records the tagged single-photon-pair truths.
+    Returns a copy of the tally with n_z, m_z, z_discarded and the tagged
+    single-photon-pair truths set.
     """
     rng = _stream(tally.seed, _Z_MATCH_STREAM)
     len_o = tally.z_o_bob_mu.shape[0]
@@ -412,15 +365,18 @@ def post_match_z(tally: MonteCarloTally) -> tuple[int, int]:
     s11_true = correct_raw & (nb_i == 1) & (na_j == 1)
     s0mub_true = formed & (na_j == 0)
 
-    tally.n_z = int(formed.sum())
-    tally.m_z = int(errors.sum())
-    tally.z_discarded = int(k - formed.sum())
-    tally.s11_z_true = int(s11_true.sum())
-    tally.s0mub_true = int(s0mub_true.sum())
-    return tally.n_z, tally.m_z
+    n_z = int(formed.sum())
+    return replace(
+        tally,
+        n_z=n_z,
+        m_z=int(errors.sum()),
+        z_discarded=k - n_z,
+        s11_z_true=int(s11_true.sum()),
+        s0mub_true=int(s0mub_true.sum()),
+    )
 
 
-def post_match_x(tally: MonteCarloTally) -> tuple[int, int]:
+def post_match_x(tally: MonteCarloTally) -> MonteCarloTally:
     """Pair retained X events greedily in arrival order and count errors.
 
     Every retained event lies in the slice [sigma, sigma+delta] on one of
@@ -430,6 +386,9 @@ def post_match_x(tally: MonteCarloTally) -> tuple[int, int]:
     exactly when u_i differs from u_j.  m_x is reported in event units
     (two per error pair) to match the analytic bookkeeping.  The slice
     window was applied at simulation time.
+
+    Returns a copy of the tally with n_x, x_pairs, m_x and the tagged
+    single-photon pair count set.
     """
     u = tally.x_u
     n_kept = u.shape[0]
@@ -444,11 +403,13 @@ def post_match_x(tally: MonteCarloTally) -> tuple[int, int]:
     tag01_j = tally.x_tag01[1 : 2 * n_pairs : 2]
     s11_pairs = (tag10_i & tag01_j) | (tag01_i & tag10_j)
 
-    tally.n_x = int(n_kept)
-    tally.x_pairs = int(n_pairs)
-    tally.m_x = int(2 * errors.sum())
-    tally.s11_x_true_pairs = int(s11_pairs.sum())
-    return tally.n_x, tally.m_x
+    return replace(
+        tally,
+        n_x=n_kept,
+        x_pairs=n_pairs,
+        m_x=int(2 * errors.sum()),
+        s11_x_true_pairs=int(s11_pairs.sum()),
+    )
 
 
 def oracle_tally(
@@ -462,73 +423,7 @@ def oracle_tally(
 ) -> MonteCarloTally:
     """simulate_rounds plus both matching passes."""
     tally = simulate_rounds(a, b, geom, params, n_rounds, seed, threads=threads)
-    post_match_z(tally)
-    post_match_x(tally)
-    return tally
-
-
-def iterate_rounds(
-    a: SourceSetting,
-    b: SourceSetting,
-    geom: LinkGeometry,
-    params: SystemParams,
-    n_rounds: int,
-    seed: int,
-) -> Iterator[RoundRecord]:
-    """Scalar per-round replay for inspection and unit-level cross-checks.
-
-    Uses its own draw sequence (one stream, round by round), so aggregate
-    statistics match simulate_rounds but individual rounds do not align.
-    """
-    rng = _stream(seed, (1 << 62) + 2)
-    eta_a, eta_b = geom.transmittances(params)
-    labels_a = [a.mu, a.nu, 0.0, 0.0]
-    labels_b = [b.mu, b.nu, 0.0, 0.0]
-    probs_a = np.cumsum([a.p_mu, a.p_nu, a.p_o, a.p_ohat])
-    probs_b = np.cumsum([b.p_mu, b.p_nu, b.p_o, b.p_ohat])
-    two_pi = 2.0 * math.pi
-    for _ in range(int(n_rounds)):
-        k_a = labels_a[int(np.searchsorted(probs_a, rng.random(), side="right"))]
-        k_b = labels_b[int(np.searchsorted(probs_b, rng.random(), side="right"))]
-        theta_a = rng.random() * two_pi
-        theta_b = rng.random() * two_pi
-        phi_ab = rng.random() * two_pi
-        r_a = int(rng.integers(0, 2))
-        r_b = int(rng.integers(0, 2))
-        n_a = int(rng.poisson(k_a))
-        n_b = int(rng.poisson(k_b))
-        surv = int(rng.binomial(n_a, eta_a)) + int(rng.binomial(n_b, eta_b))
-        mean_total = eta_a * k_a + eta_b * k_b
-        omega = math.sqrt(eta_a * k_a * eta_b * k_b)
-        theta = (theta_a - theta_b + phi_ab) % two_pi
-        if mean_total > 0.0:
-            p_left = 0.5 + (1.0 - 2.0 * (r_a ^ r_b)) * (omega / mean_total) * math.cos(theta)
-            p_left = min(max(p_left, 0.0), 1.0)
-        else:
-            p_left = 0.5
-        arr_left = int(rng.binomial(surv, p_left))
-        click_left = (arr_left > 0) or (rng.random() < params.p_d)
-        click_right = (surv - arr_left > 0) or (rng.random() < params.p_d)
-        if click_left and click_right:
-            outcome = "both-discarded"
-        elif click_left:
-            outcome = "L"
-        elif click_right:
-            outcome = "R"
-        else:
-            outcome = "none"
-        yield RoundRecord(
-            k_a=k_a,
-            k_b=k_b,
-            theta_a=theta_a,
-            theta_b=theta_b,
-            phi_ab=phi_ab,
-            r_a=r_a,
-            r_b=r_b,
-            n_a=n_a,
-            n_b=n_b,
-            outcome=outcome,
-        )
+    return post_match_x(post_match_z(tally))
 
 
 @dataclass(frozen=True)
@@ -550,14 +445,15 @@ def compare_with_analytics(
 
     Expectations are the analytic formulas evaluated at N = n_rounds; the
     X error expectation uses the first-principles form, the one the click
-    model actually realizes.
+    model actually realizes.  m_x counts two events per error pair, so its
+    variance is about 2 exp and its row uses z = (obs - exp)/sqrt(2 exp).
     """
     scaled = replace(params, N=float(tally.n_rounds))
     counts = observed_statistics(a, b, geom, scaled)
     rows: list[ComparisonRow] = []
 
-    def add(name: str, observed: float, expected: float) -> None:
-        se = math.sqrt(expected) if expected > 0.0 else 1.0
+    def add(name: str, observed: float, expected: float, units: float = 1.0) -> None:
+        se = math.sqrt(units * expected) if expected > 0.0 else 1.0
         rows.append(ComparisonRow(name, observed, expected, (observed - expected) / se))
 
     for la in INTENSITY_LABELS:
@@ -566,5 +462,5 @@ def compare_with_analytics(
     add("n_z", tally.n_z, counts.n_z)
     add("m_z", tally.m_z, counts.m_z)
     add("n_x", tally.n_x, counts.n_x)
-    add("m_x", tally.m_x, counts.m_x)
+    add("m_x", tally.m_x, counts.m_x, units=2.0)
     return rows

@@ -1,10 +1,10 @@
-"""Concentration bounds, entropy, special functions and failure-probability budgets.
+"""Concentration bounds, entropy, quadrature and failure-probability budgets.
 
 Everything here is a pure scalar function used by the estimators: the two
 Chernoff-style conversions between expected and observed counts, the random
-sampling correction gamma^U, binary entropy, a modified Bessel function I0,
-an adaptive Simpson integrator, and the composition rule that turns one
-per-use failure probability into the overall security budget.
+sampling correction gamma^U, binary entropy, an adaptive Simpson integrator,
+and the composition rule that turns one per-use failure probability into
+the overall security budget.
 """
 
 from __future__ import annotations
@@ -80,43 +80,6 @@ def random_sampling_gamma(n: float, k: float, lam: float, eps: float) -> float:
     ag_over_total = a_big * g / total
     numerator = (1.0 - 2.0 * lam) * ag_over_total + math.sqrt(ag_over_total * ag_over_total + 4.0 * lam * (1.0 - lam) * g)
     return numerator / (2.0 + 2.0 * ag_over_total * a_big / total)
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
-
-    Power series below 15, asymptotic expansion above; relative error stays
-    under 1e-12 across the switchover (both regimes occur: the interference
-    amplitude spans roughly 0 to 10 for realistic intensities).
-    """
-    ax = abs(x)
-    if ax < 15.0:
-        # sum_k (x^2/4)^k / (k!)^2, terms decay fast for ax < 15
-        term = 1.0
-        total = 1.0
-        quarter_sq = 0.25 * ax * ax
-        k = 1
-        while True:
-            term *= quarter_sq / (k * k)
-            total += term
-            if term < total * 1e-17:
-                return total
-            k += 1
-    # asymptotic series e^x/sqrt(2 pi x) * sum_k prod_j (2j-1)^2 / (8 j x),
-    # truncated at the smallest term
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        next_term = term * (2 * k + 1) ** 2 / (8.0 * (k + 1) * ax)
-        if abs(next_term) >= abs(term):
-            break
-        total += next_term
-        term = next_term
-        k += 1
-        if abs(term) < abs(total) * 1e-17 or k > 200:
-            break
-    return math.exp(ax) / math.sqrt(2.0 * math.pi * ax) * total
 
 
 @dataclass(frozen=True)

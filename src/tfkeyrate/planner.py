@@ -426,8 +426,8 @@ class NetworkNode:
     setting: SourceSetting
 
     def __post_init__(self) -> None:
-        if self.distance_km < 0.0:
-            raise ValueError(f"node {self.name}: distance_km must be >= 0")
+        if not (math.isfinite(self.distance_km) and self.distance_km >= 0.0):
+            raise ValueError(f"node {self.name}: distance_km must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -58,6 +59,31 @@ def test_system_params_validation():
         _params(delta_deg=0.0)
     with pytest.raises(ValueError):
         _params(delta_deg=91.0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SourceSetting(0.45, 0.10, _NAN, 0.25, 0.40, 0.05),
+        lambda: SourceSetting(_INF, 0.10, 0.30, 0.25, 0.40, 0.05),
+        lambda: dataclasses.replace(_params(), alpha=_NAN),
+        lambda: dataclasses.replace(_params(), f=_NAN),
+        lambda: _params(n_pulses=_INF),
+        lambda: LinkGeometry(_NAN, 200.0),
+        lambda: LinkGeometry(100.0, _INF),
+    ],
+    ids=["p_mu-nan", "mu-inf", "alpha-nan", "f-nan", "N-inf", "l_a-nan", "l_b-inf"],
+)
+def test_non_finite_parameters_fail_at_construction(build):
+    # A NaN length or attenuation would make the slice quadrature's
+    # tolerance NaN, which no recursion depth can meet.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="finite"):
+        build()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_link_geometry_transmittances_and_swap():

@@ -1,7 +1,6 @@
 """Tests for the round-level Monte Carlo simulator and its post-matching."""
 
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -20,14 +19,13 @@ from tfkeyrate.channel_model import (
     single_photon_yields,
 )
 from tfkeyrate.event_simulator import (
+    _CLASS_LABELS,
     _MU,
     _NU,
     _O,
     MonteCarloTally,
-    _ShardData,
     _stream,
     compare_with_analytics,
-    iterate_rounds,
     oracle_tally,
     post_match_x,
     post_match_z,
@@ -94,7 +92,7 @@ def _dense_shard(a, b, geom, params, n, seed, shard_index):
     det_right = success & click_right
 
     flat = (ia * 4 + ib)[success]
-    clicks = np.bincount(flat, minlength=16).reshape(4, 4)
+    clicks = np.bincount(flat, minlength=16)
 
     bob_z = (ib == _O) | (ib == _MU)
     pool_o = success & (ia == _O) & bob_z
@@ -113,8 +111,11 @@ def _dense_shard(a, b, geom, params, n, seed, shard_index):
     mu_o_single = (ia == _MU) & (ib == _O) & (n_a == 1)
 
     cap = np.iinfo(np.uint8).max
-    return _ShardData(
-        clicks=clicks,
+    return MonteCarloTally(
+        n_rounds=n,
+        seed=int(seed),
+        e_d_z=params.e_d_z,
+        clicks=dict(zip(_CLASS_LABELS, clicks.tolist())),
         z_o_bob_mu=(ib[pool_o] == _MU),
         z_o_nb=np.minimum(n_b[pool_o], cap).astype(np.uint8),
         z_mu_bob_mu=(ib[pool_mu] == _MU),
@@ -258,12 +259,11 @@ def test_post_matching_conserves_events(toy_tally):
 
 def test_oracle_matches_manual_post_matching():
     a, b, geom, params = mc_toy_config()
-    manual = simulate_rounds(a, b, geom, params, 200_000, 7)
-    assert manual.n_z is None and manual.m_x is None
-    n_z, m_z = post_match_z(manual)
-    n_x, m_x = post_match_x(manual)
-    assert (manual.n_z, manual.m_z) == (n_z, m_z)
-    assert (manual.n_x, manual.m_x) == (n_x, m_x)
+    raw = simulate_rounds(a, b, geom, params, 200_000, 7)
+    z_matched = post_match_z(raw)
+    manual = post_match_x(z_matched)
+    assert raw.n_z is None and raw.m_x is None
+    assert z_matched.n_z is not None and z_matched.m_x is None
     oracle = oracle_tally(a, b, geom, params, n_rounds=200_000, seed=7)
     assert oracle.summary() == manual.summary()
 
@@ -280,6 +280,14 @@ def test_click_tallies_track_analytics(toy_tally):
         assert within_three_se(row.observed, row.expected, units), (
             f"{row.name}: observed {row.observed}, expected {row.expected}"
         )
+
+
+def test_m_x_z_score_counts_two_events_per_error_pair(toy_tally):
+    # m_x is twice a Poisson count of error pairs, so its variance is 2 exp.
+    a, b, geom, params = mc_toy_config()
+    row = {r.name: r for r in compare_with_analytics(toy_tally, a, b, geom, params)}["m_x"]
+    assert row.observed == toy_tally.m_x
+    assert row.z_score == (row.observed - row.expected) / math.sqrt(2.0 * row.expected)
 
 
 def test_tagged_z_yield_matches_singles_product():
@@ -324,7 +332,7 @@ def test_tagged_x_pairs_stay_within_phase_error_bound():
 
 def test_summary_and_json_round_trip(toy_tally):
     summary = toy_tally.summary()
-    assert json.loads(toy_tally.to_json()) == summary
+    assert json.loads(json.dumps(summary)) == summary
     assert summary["n_rounds"] == 500_000
     assert summary["clicks"]["mu,mu"] == toy_tally.clicks[("mu", "mu")]
     assert summary["n_z"] == toy_tally.n_z
@@ -380,28 +388,6 @@ def test_a_tally_without_z_pairs_yields_no_key(toy_tally):
     scaled = dataclasses.replace(params, N=float(toy_tally.n_rounds))
     with pytest.raises(InfeasibleDecoyError, match="without Z-basis pairs"):
         evaluate_counts(counts, a, b, geom, scaled)
-
-
-def test_round_iterator_exposes_consistent_records():
-    a, b, geom, params = mc_toy_config()
-    records = list(itertools.islice(iterate_rounds(a, b, geom, params, 20_000, 11), 5000))
-    assert records
-    two_pi = 2.0 * math.pi
-    intensities_a = {0.0, a.nu, a.mu}
-    intensities_b = {0.0, b.nu, b.mu}
-    seen_outcomes = set()
-    for rec in records:
-        assert rec.k_a in intensities_a
-        assert rec.k_b in intensities_b
-        assert 0.0 <= rec.theta_a < two_pi
-        assert 0.0 <= rec.theta_b < two_pi
-        assert 0.0 <= rec.phi_ab < two_pi
-        assert 0.0 <= rec.theta < two_pi
-        assert rec.r_a in (0, 1) and rec.r_b in (0, 1)
-        assert rec.n_a >= 0 and rec.n_b >= 0
-        seen_outcomes.add(rec.outcome)
-    assert seen_outcomes <= {"none", "L", "R", "both-discarded"}
-    assert {"L", "R"} <= seen_outcomes
 
 
 def test_resolve_threads_precedence(monkeypatch):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from tfkeyrate.channel_model import _i0_minus_one
 from tfkeyrate.finite_stats import (
     CHERNOFF_APPLICATIONS,
-    bessel_i0,
     binary_entropy,
     chernoff_expected_bounds,
     chernoff_observed_bounds,
@@ -167,10 +167,15 @@ def test_gamma_rejects_bad_domains():
         random_sampling_gamma(1e6, 1e6, 0.02, 1.0)
 
 
+def _i0(x):
+    """I0 through the series the channel model evaluates."""
+    return 1.0 + _i0_minus_one(x)
+
+
 def test_bessel_matches_scipy_on_dense_grid():
     xs = np.linspace(0.0, 40.0, 2001)
     ref = special.i0(xs)
-    got = np.array([bessel_i0(float(x)) for x in xs])
+    got = np.array([_i0(float(x)) for x in xs])
     assert float(np.max(np.abs(got - ref) / ref)) < 1e-12
 
 
@@ -180,21 +185,26 @@ def test_bessel_matches_integral_definition():
             lambda t: math.exp(x * math.cos(t)) / math.pi, 0.0, math.pi,
             epsabs=0.0, epsrel=1e-12,
         )
-        assert math.isclose(bessel_i0(x), ref, rel_tol=1e-10)
+        assert math.isclose(_i0(x), ref, rel_tol=1e-10)
 
 
 def test_bessel_reference_points_span_both_branches():
-    # Frozen from 40-digit evaluations; 7.3 exercises the series branch and
-    # 20 the asymptotic branch.
-    assert bessel_i0(0.0) == 1.0
-    assert math.isclose(bessel_i0(1.0), 1.2660658777520083, rel_tol=1e-12)
-    assert math.isclose(bessel_i0(7.3), 222.6587998730119, rel_tol=1e-12)
-    assert math.isclose(bessel_i0(20.0), 43558282.559553533, rel_tol=1e-12)
+    # Frozen from 40-digit evaluations; the series takes 10 terms at 1.0
+    # and 35 at 20.
+    assert _i0(0.0) == 1.0
+    assert math.isclose(_i0(1.0), 1.2660658777520083, rel_tol=1e-12)
+    assert math.isclose(_i0(7.3), 222.6587998730119, rel_tol=1e-12)
+    assert math.isclose(_i0(20.0), 43558282.559553533, rel_tol=1e-12)
+
+
+def test_bessel_beyond_the_float_range_raises():
+    with pytest.raises(OverflowError):
+        _i0(1000.0)
 
 
 def test_bessel_strictly_increasing():
     xs = np.linspace(0.0, 30.0, 301)
-    values = [bessel_i0(float(x)) for x in xs]
+    values = [_i0(float(x)) for x in xs]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 

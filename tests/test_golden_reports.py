@@ -73,13 +73,24 @@ def _csv_rows(path):
     return rows[0], [[cell(c) for c in row] for row in rows[1:]]
 
 
-@pytest.mark.parametrize("name", sorted(JSON_CASES))
-def test_json_report_matches_golden(tmp_path, name):
+def _assert_json_matches_golden(tmp_path, name, argv):
     out = tmp_path / name
-    _run(JSON_CASES[name], out)
+    _run(argv, out)
     actual, golden = _load_json(out), _load_json(os.path.join(GOLDEN_DIR, name))
     _assert_same(actual["config"], golden["config"], "config")
     _assert_same(actual["results"], golden["results"], "results")
+
+
+@pytest.mark.parametrize("name", sorted(JSON_CASES))
+def test_json_report_matches_golden(tmp_path, name):
+    _assert_json_matches_golden(tmp_path, name, JSON_CASES[name])
+
+
+def test_threaded_montecarlo_report_matches_golden(tmp_path):
+    # two workers share the toy run's ten shards; the merged tally, and so
+    # the report, must be the single-thread one
+    name = "montecarlo_toy.json"
+    _assert_json_matches_golden(tmp_path, name, JSON_CASES[name] + ["--threads", "2"])
 
 
 def test_network_report_matches_golden(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for slice-width polish, link optimization, scans, and network evaluation."""
 
 import math
+import time
 
 import pytest
 
@@ -154,6 +155,14 @@ def test_scenario_validation():
             (("A", "Z"),),
             params,
         )
+
+
+@pytest.mark.parametrize("distance_km", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_network_node_rejects_non_finite_distance(distance_km):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="finite"):
+        NetworkNode("A", distance_km, TP_SETTINGS_SIGMA5["A"])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_network_orientation_policies():
