@@ -6,7 +6,9 @@ at ingestion.  Validation is strict: unknown fields anywhere in the
 document are rejected before any computation or output-file access.
 
 Exit codes: 0 success (a zero rate is a valid answer), 2 configuration or
-validation error, 3 decoy estimation infeasible for the requested link.
+validation error, or settings the model cannot evaluate (a declared or
+undeclared vacuum class that is never sent, intensities so large that the
+model overflows), 3 decoy estimation infeasible for the requested link.
 
 Every JSON output embeds the resolved configuration, the seed and the
 package version, so a run can be replayed from its own report.  CSV
@@ -44,11 +46,12 @@ from .keyrate_engine import (
     MODE_ASYMPTOTIC,
     MODE_FINITE,
     InfeasibleDecoyError,
+    MissingDeclareVacuumError,
     evaluate_counts,
     evaluate_link,
 )
 from .planner import (
-    ALL_LINK_VARIABLES,
+    ORIENTATION_POLICIES,
     ChannelShape,
     NetworkNode,
     NetworkScenario,
@@ -289,8 +292,8 @@ def load_scenario(path: str) -> ScenarioDocument:
                 raise ConfigError(f"network.anchors[{i}]: unknown node {p!r}")
         parsed_anchors.append((pair[0], pair[1]))
     orientation = network_blk.get("orientation", "nearer_alice")
-    if orientation not in ("nearer_alice", "best", "as_given"):
-        raise ConfigError("network.orientation: expected nearer_alice, best or as_given")
+    if orientation not in ORIENTATION_POLICIES:
+        raise ConfigError(f"network.orientation: expected one of {', '.join(ORIENTATION_POLICIES)}")
     network = {
         "anchors": tuple(parsed_anchors),
         "optimize_anchors": _boolean(network_blk, "network", "optimize_anchors", True),
@@ -458,7 +461,7 @@ def cmd_keyrate(doc: ScenarioDocument, args: argparse.Namespace) -> int:
 
     a, b = near.setting, far.setting
     if doc.keyrate["optimize_sources"]:
-        plan = optimize_link(geom, params, ALL_LINK_VARIABLES, initial=(a, b), seed=seed, mode=mode)
+        plan = optimize_link(geom, params, initial=(a, b), seed=seed, mode=mode)
         a, b, params = plan.a, plan.b, plan.params
     elif doc.keyrate["optimize_delta"]:
         params, _, _, _ = polish_delta(a, b, geom, params, mode)
@@ -710,6 +713,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](doc, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MissingDeclareVacuumError, OverflowError) as exc:
+        print(f"error: the model cannot evaluate these settings: {exc}", file=sys.stderr)
         return 2
     except InfeasibleDecoyError as exc:
         print(f"error: decoy estimation infeasible: {exc}", file=sys.stderr)

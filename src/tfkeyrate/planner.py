@@ -1,11 +1,14 @@
 """Per-link parameter optimization and multi-user network evaluation.
 
-optimize_link searches source intensities, decoy probabilities and the
-phase-slice width with multi-start downhill simplex over transformed
-coordinates (log intensities, logit probabilities), then refines the slice
-width with a deterministic grid-plus-scalar polish.  evaluate_network
-optimizes the anchor links of a scenario in order, freezes each node's
-settings on first assignment, and evaluates every node pair with the frozen
+A node keeps one source setting on every link it joins, so the planner
+frees or freezes a user's setting as a whole.  optimize_link searches the
+intensities and send probabilities of a link's free sides ("a", "b", both
+or neither) and the phase-slice width with multi-start downhill simplex
+over transformed coordinates (log intensities, logit probabilities), then
+refines the slice width with a deterministic grid-plus-scalar polish.
+evaluate_network optimizes the anchor links of a scenario in order,
+freezes each node's settings on first assignment so later anchors free
+only their unfrozen side, and evaluates every node pair with the frozen
 hardware.  distance_scan produces rate-versus-distance curves with
 warm-started optimization and a monotonicity repair pass.
 
@@ -37,21 +40,7 @@ from .keyrate_engine import (
 
 DEG = math.pi / 180.0
 
-VARIABLE_ORDER = (
-    "mu_a",
-    "nu_a",
-    "p_mu_a",
-    "p_nu_a",
-    "p_ohat_a",
-    "mu_b",
-    "nu_b",
-    "p_mu_b",
-    "p_nu_b",
-    "p_ohat_b",
-    "delta",
-)
-ALL_LINK_VARIABLES = frozenset(VARIABLE_ORDER)
-SOURCE_VARIABLES = frozenset(v for v in VARIABLE_ORDER if v != "delta")
+SIDES = ("a", "b")
 
 ORIENTATION_POLICIES = ("nearer_alice", "best", "as_given")
 
@@ -59,6 +48,7 @@ _DELTA_LO = 0.1 * DEG
 _DELTA_HI = 25.0 * DEG
 _DELTA_GRID = tuple(d * DEG for d in range(1, 16))
 _MU_CAP = 3.0
+_MAX_EVALS_PER_START = 900
 
 
 def _sigmoid(t: float) -> float:
@@ -98,103 +88,68 @@ def _safe_rate(
     params: SystemParams,
     mode: str,
 ) -> tuple[float, LinkEvaluation | None]:
-    """Rate with decoy-infeasible and degenerate points mapped to zero."""
+    """Rate with decoy-infeasible points mapped to zero.
+
+    Only InfeasibleDecoyError means "no key here"; any other error (invalid
+    settings, a missing vacuum class, a bug) propagates to the caller.
+    """
     try:
         ev = evaluate_link(a, b, geom, params, mode=mode)
-    except (InfeasibleDecoyError, ValueError):
+    except InfeasibleDecoyError:
         return 0.0, None
     return ev.result.rate, ev
 
 
+def _unpack_side(coords: np.ndarray) -> SourceSetting:
+    """One side's setting from its five search coordinates (see _pack_side)."""
+    t_mu, t_nu, *logits = (float(t) for t in coords)
+    mu = min(max(math.exp(min(max(t_mu, -30.0), 2.0)), 1e-5), _MU_CAP)
+    nu = max(mu * min(_sigmoid(t_nu), 1.0 - 1e-9), 1e-12)
+    weights = [math.exp(min(max(t, -30.0), 30.0)) for t in logits]
+    denom = 1.0 + sum(weights)
+    p_mu, p_nu, p_ohat = (w / denom for w in weights)
+    return SourceSetting(
+        mu=mu, nu=nu, p_mu=p_mu, p_nu=p_nu, p_o=1.0 - p_mu - p_nu - p_ohat, p_ohat=p_ohat
+    )
+
+
+def _pack_side(s: SourceSetting) -> list[float]:
+    """Search coordinates of one side: log mu, logit nu/mu, and the log-odds
+    of p_mu, p_nu and p_ohat against p_o.  Every coordinate vector maps back
+    to intensities ordered mu > nu > 0 and probabilities summing to 1.
+    """
+    p_o = max(s.p_o, 1e-13)
+    return [
+        math.log(s.mu),
+        _logit(s.nu / s.mu),
+        *(math.log(max(p, 1e-13) / p_o) for p in (s.p_mu, s.p_nu, s.p_ohat)),
+    ]
+
+
 class _Transform:
-    """Maps the free-variable vector to a (SourceSetting, SourceSetting, delta)
-    triple; fixed variables keep their base values.  Probabilities use p_o as
-    the slack on each side, intensities are kept strictly ordered mu > nu > 0.
+    """Maps the search vector to a (SourceSetting, SourceSetting, delta) triple.
+
+    Each free side contributes its five _pack_side coordinates, in side
+    order, and the slice width comes last; a frozen side keeps its base
+    setting exactly.
     """
 
-    def __init__(self, free: frozenset[str], base_a: SourceSetting, base_b: SourceSetting, base_delta: float):
-        unknown = free - ALL_LINK_VARIABLES
-        if unknown:
-            raise ValueError(f"unknown free variables: {sorted(unknown)}")
-        self.free = tuple(v for v in VARIABLE_ORDER if v in free)
-        self.index = {v: i for i, v in enumerate(self.free)}
-        self.base_a = base_a
-        self.base_b = base_b
-        self.base_delta = base_delta
-
-    @property
-    def n_dim(self) -> int:
-        return len(self.free)
-
-    def _side(self, vec: np.ndarray, side: str, base: SourceSetting) -> SourceSetting:
-        def get(name: str, fallback: float) -> float | None:
-            key = f"{name}_{side}"
-            return float(vec[self.index[key]]) if key in self.index else None
-
-        t_mu = get("mu", base.mu)
-        t_nu = get("nu", base.nu)
-        if t_mu is not None and t_nu is not None:
-            mu = min(max(math.exp(min(max(t_mu, -30.0), 2.0)), 1e-5), _MU_CAP)
-            nu = mu * min(_sigmoid(t_nu), 1.0 - 1e-9)
-        elif t_mu is not None:
-            mu = base.nu + min(max(math.exp(min(max(t_mu, -30.0), 2.0)), 1e-9), _MU_CAP)
-            nu = base.nu
-        elif t_nu is not None:
-            mu = base.mu
-            nu = mu * min(_sigmoid(t_nu), 1.0 - 1e-9)
-        else:
-            mu, nu = base.mu, base.nu
-        nu = max(nu, 1e-12)
-
-        fixed_budget = 1.0
-        logits: dict[str, float] = {}
-        fixed: dict[str, float] = {}
-        for name, value in (("p_mu", base.p_mu), ("p_nu", base.p_nu), ("p_ohat", base.p_ohat)):
-            key = f"{name}_{side}"
-            if key in self.index:
-                logits[name] = float(vec[self.index[key]])
-            else:
-                fixed[name] = value
-                fixed_budget -= value
-        if fixed_budget <= 0.0:
-            raise ValueError("fixed probabilities leave no budget for the slack")
-        weights = {n: math.exp(min(max(t, -30.0), 30.0)) for n, t in logits.items()}
-        denom = 1.0 + sum(weights.values())
-        probs = dict(fixed)
-        for name, w in weights.items():
-            probs[name] = fixed_budget * w / denom
-        p_o = 1.0 - probs["p_mu"] - probs["p_nu"] - probs["p_ohat"]
-        return SourceSetting(
-            mu=mu, nu=nu, p_mu=probs["p_mu"], p_nu=probs["p_nu"], p_o=p_o, p_ohat=probs["p_ohat"]
-        )
+    def __init__(self, sides: tuple[str, ...], base_a: SourceSetting, base_b: SourceSetting):
+        self.sides = sides
+        self.base = {"a": base_a, "b": base_b}
 
     def unpack(self, vec: np.ndarray) -> tuple[SourceSetting, SourceSetting, float]:
-        a = self._side(vec, "a", self.base_a)
-        b = self._side(vec, "b", self.base_b)
-        if "delta" in self.index:
-            frac = _sigmoid(float(vec[self.index["delta"]]))
-            delta = _DELTA_LO + (_DELTA_HI - _DELTA_LO) * frac
-        else:
-            delta = self.base_delta
-        return a, b, delta
+        settings = dict(self.base)
+        for i, side in enumerate(self.sides):
+            settings[side] = _unpack_side(vec[5 * i : 5 * i + 5])
+        delta = _DELTA_LO + (_DELTA_HI - _DELTA_LO) * _sigmoid(float(vec[-1]))
+        return settings["a"], settings["b"], delta
 
     def pack(self, a: SourceSetting, b: SourceSetting, delta: float) -> np.ndarray:
-        vec = np.zeros(self.n_dim)
-        for side, s in (("a", a), ("b", b)):
-            if f"mu_{side}" in self.index:
-                if f"nu_{side}" in self.index:
-                    vec[self.index[f"mu_{side}"]] = math.log(s.mu)
-                else:
-                    vec[self.index[f"mu_{side}"]] = math.log(max(s.mu - s.nu, 1e-9))
-            if f"nu_{side}" in self.index:
-                vec[self.index[f"nu_{side}"]] = _logit(s.nu / s.mu)
-            for name in ("p_mu", "p_nu", "p_ohat"):
-                key = f"{name}_{side}"
-                if key in self.index:
-                    vec[self.index[key]] = math.log(max(getattr(s, name), 1e-13) / max(s.p_o, 1e-13))
-        if "delta" in self.index:
-            vec[self.index["delta"]] = _logit((delta - _DELTA_LO) / (_DELTA_HI - _DELTA_LO))
-        return vec
+        settings = {"a": a, "b": b}
+        coords = [t for side in self.sides for t in _pack_side(settings[side])]
+        coords.append(_logit((delta - _DELTA_LO) / (_DELTA_HI - _DELTA_LO)))
+        return np.array(coords)
 
 
 def _make_setting(mu: float, nu: float, p_mu: float, p_nu: float, p_ohat: float) -> SourceSetting:
@@ -227,17 +182,11 @@ def _patterned_pair(
     is the first arm's transmittance over the second's.
     """
     nu_far = mu_far * nu_frac
-    if eta_ratio >= 1.0:
-        # first arm less lossy: it plays the "near" role
-        near = _make_setting(
-            mu_far * eta_ratio ** (-mu_exp), nu_far / eta_ratio, p_mu_near, p_nu, p_ohat
-        )
-        far = _make_setting(mu_far, nu_far, p_mu_far, p_nu, p_ohat)
-        return near, far
-    inv = 1.0 / eta_ratio
-    near = _make_setting(mu_far * inv ** (-mu_exp), nu_far / inv, p_mu_near, p_nu, p_ohat)
+    ratio = eta_ratio if eta_ratio >= 1.0 else 1.0 / eta_ratio
+    near = _make_setting(mu_far * ratio ** (-mu_exp), nu_far / ratio, p_mu_near, p_nu, p_ohat)
     far = _make_setting(mu_far, nu_far, p_mu_far, p_nu, p_ohat)
-    return far, near
+    # the less lossy arm plays the "near" role
+    return (near, far) if eta_ratio >= 1.0 else (far, near)
 
 
 def _structured_starts(
@@ -317,38 +266,44 @@ def polish_delta(
 def optimize_link(
     geom: LinkGeometry,
     params: SystemParams,
-    free: frozenset[str] | set[str] = ALL_LINK_VARIABLES,
+    sides: tuple[str, ...] = SIDES,
     *,
     initial: tuple[SourceSetting, SourceSetting] | None = None,
     warm_starts: tuple[tuple[SourceSetting, SourceSetting, float], ...] = (),
     seed: int = 0,
     n_starts: int = 16,
-    max_evals_per_start: int = 900,
     structured: bool = True,
     mode: str = MODE_FINITE,
 ) -> LinkPlan:
-    """Multi-start simplex search over the free variables of one link.
+    """Multi-start simplex search over the whole settings of the free sides.
 
-    Every start's source candidate gets the same slice-width polish and the
-    best candidate wins (ties broken by lexicographic parameter order), so
-    the reported rate is at least the rate at every tested grid point and
-    the whole procedure is deterministic given the seed.  Returns a
-    zero-rate plan if no start reaches a positive rate.
+    sides names the users whose source settings are searched: "a", "b",
+    both (the default) or neither; a side left out keeps its initial
+    setting exactly, as a node frozen by an earlier link does.  The slice
+    width is searched along with the free sides and always polished; with
+    no free side the result is polish_delta of the initial pair and the
+    warm starts.  Every start's source candidate gets the same slice-width
+    polish and the best candidate wins (ties broken by lexicographic
+    parameter order), so the reported rate is at least the rate at every
+    tested grid point and the whole procedure is deterministic given the
+    seed.  Returns a zero-rate plan if no start reaches a positive rate.
     """
     from scipy.optimize import minimize
 
-    free = frozenset(free)
+    unknown = set(sides) - set(SIDES)
+    if unknown:
+        raise ValueError(f"unknown sides: {sorted(unknown)}")
+    sides = tuple(side for side in SIDES if side in sides)
     base_a, base_b = initial if initial is not None else (_DEFAULT_BASE, _DEFAULT_BASE)
-    transform = _Transform(free, base_a, base_b, params.delta)
+    transform = _Transform(sides, base_a, base_b)
     rng = np.random.Generator(np.random.Philox(key=(int(seed) << 64) | 0x706C616E))
     eval_count = 0
 
-    source_free = bool(free & SOURCE_VARIABLES)
     candidates: list[tuple[SourceSetting, SourceSetting]] = [(base_a, base_b)]
     for wa, wb, _ in warm_starts:
         candidates.append((wa, wb))
 
-    if source_free:
+    if sides:
         starts = [transform.pack(base_a, base_b, params.delta)]
         for wa, wb, wd in warm_starts:
             starts.append(transform.pack(wa, wb, wd))
@@ -359,10 +314,7 @@ def optimize_link(
         def objective(vec: np.ndarray) -> float:
             nonlocal eval_count
             eval_count += 1
-            try:
-                a, b, delta = transform.unpack(vec)
-            except ValueError:
-                return 1.0
+            a, b, delta = transform.unpack(vec)
             rate, _ = _safe_rate(a, b, geom, replace(params, delta=delta), mode)
             return -rate
 
@@ -376,7 +328,7 @@ def optimize_link(
                     x,
                     method="Nelder-Mead",
                     options={
-                        "maxfev": max_evals_per_start,
+                        "maxfev": _MAX_EVALS_PER_START,
                         "xatol": 1e-3,
                         # stop when the rate improves by < 1e-4 relative
                         "fatol": 1e-4 * max(abs(f_ref), 1e-10),
@@ -386,16 +338,10 @@ def optimize_link(
             a, b, _ = transform.unpack(x)
             candidates.append((a, b))
 
-    polish_width = "delta" in free
     best: tuple[float, tuple, SystemParams, SourceSetting, SourceSetting, LinkEvaluation | None] | None = None
     for a, b in candidates:
-        if polish_width:
-            final_params, rate, ev, used = polish_delta(a, b, geom, params, mode)
-            eval_count += used
-        else:
-            final_params = params
-            rate, ev = _safe_rate(a, b, geom, params, mode)
-            eval_count += 1
+        final_params, rate, ev, used = polish_delta(a, b, geom, params, mode)
+        eval_count += used
         order_key = (a.mu, a.nu, a.p_mu, a.p_nu, a.p_ohat, b.mu, b.nu, b.p_mu, b.p_nu, b.p_ohat, final_params.delta)
         if best is None or (rate, tuple(-v for v in order_key)) > (best[0], tuple(-v for v in best[1])):
             best = (rate, order_key, final_params, a, b, ev)
@@ -554,17 +500,12 @@ def evaluate_network(
                 orientation if orientation != "best" else "nearer_alice",
             )[0]
             na, nb = (name_1, name_2) if keep else (name_2, name_1)
-            free = set()
-            if na not in frozen:
-                free |= {f"{v}_a" for v in ("mu", "nu", "p_mu", "p_nu", "p_ohat")}
-            if nb not in frozen:
-                free |= {f"{v}_b" for v in ("mu", "nu", "p_mu", "p_nu", "p_ohat")}
-            if free:
-                free.add("delta")
+            sides = tuple(side for side, name in zip(SIDES, (na, nb)) if name not in frozen)
+            if sides:
                 plan = optimize_link(
                     LinkGeometry(distance[na], distance[nb]),
                     scn.params,
-                    frozenset(free),
+                    sides,
                     initial=(settings[na], settings[nb]),
                     seed=seed + idx,
                     n_starts=n_starts,
@@ -672,7 +613,6 @@ def distance_scan(
         plan = optimize_link(
             channel.geometry(total),
             params,
-            ALL_LINK_VARIABLES,
             warm_starts=warm,
             seed=seed + i,
             n_starts=n_starts if i == 0 else warm_random_starts,

@@ -246,6 +246,36 @@ def test_non_finite_numbers_exit_2_quickly(tmp_path, command, field, literal):
     assert not out.exists()
 
 
+def _exits_2_quickly(tmp_path, capsys, command, doc, needle):
+    out = tmp_path / "report.out"
+    start = time.perf_counter()
+    assert main([command, "--config", _write(tmp_path, doc), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err
+
+
+@pytest.mark.parametrize(
+    "command, config", [("keyrate", "link_a_c.json"), ("network", "network_four_users.json")]
+)
+def test_never_sent_undeclared_vacuum_exits_2(tmp_path, capsys, command, config):
+    # node C never sends the undeclared vacuum class, so the yield bounds
+    # have nothing to rescale by; this is not a zero-rate answer
+    doc = json.loads(open(_shipped(config), encoding="utf-8").read())
+    (source,) = [n["source"] for n in doc["nodes"] if n["name"] == "C"]
+    source["p_o"] += source["p_ohat"]
+    source["p_ohat"] = 0.0
+    _exits_2_quickly(tmp_path, capsys, command, doc, "undeclared-vacuum")
+
+
+@pytest.mark.parametrize("mu", [800.0, 2500.0])
+def test_overflowing_intensity_exits_2(tmp_path, capsys, mu):
+    doc = _two_node_doc(0.0, source={**_SOURCE, "mu": mu})
+    _exits_2_quickly(tmp_path, capsys, "keyrate", doc, "cannot evaluate")
+
+
 def test_scan_csv_and_meta_sidecar(tmp_path):
     doc = _two_node_doc(100.0, n_pulses=1e11)
     del doc["keyrate"]

@@ -2,6 +2,8 @@
 
 import math
 import time
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +15,7 @@ from conftest import (
     oriented_pair,
     reference_params,
 )
+from tfkeyrate import planner
 from tfkeyrate.channel_model import LinkGeometry
 from tfkeyrate.diagnostics import plob_bound
 from tfkeyrate.planner import (
@@ -77,7 +80,7 @@ def test_polish_delta_is_idempotent():
 def test_optimize_link_delta_only_matches_polish():
     a, b, geom, params = _reference_link()
     _, rate, _, n_evals = polish_delta(a, b, geom, params)
-    plan = optimize_link(geom, params, free={"delta"}, initial=(a, b), n_starts=2, seed=1)
+    plan = optimize_link(geom, params, sides=(), initial=(a, b), n_starts=2, seed=1)
     assert plan.feasible
     assert plan.rate == pytest.approx(rate, rel=1e-12)
     assert plan.n_evaluations == n_evals
@@ -88,7 +91,7 @@ def test_optimize_link_with_free_intensities_beats_polish():
     a, b, geom, params = _reference_link()
     _, polished_rate, _, _ = polish_delta(a, b, geom, params)
     plan = optimize_link(
-        geom, params, free={"delta", "nu_a", "nu_b"}, initial=(a, b), n_starts=2, seed=3
+        geom, params, sides=("b",), initial=(a, b), n_starts=2, seed=3, structured=False
     )
     assert plan.feasible
     assert plan.rate >= polished_rate
@@ -99,7 +102,7 @@ def test_optimize_link_with_free_intensities_beats_polish():
 
 def test_optimize_link_is_deterministic():
     a, b, geom, params = _reference_link()
-    kwargs = dict(free={"delta", "nu_a", "nu_b"}, initial=(a, b), n_starts=2, seed=3)
+    kwargs = dict(sides=("b",), initial=(a, b), n_starts=2, seed=3, structured=False)
     first = optimize_link(geom, params, **kwargs)
     second = optimize_link(geom, params, **kwargs)
     assert first.rate == second.rate
@@ -108,10 +111,60 @@ def test_optimize_link_is_deterministic():
     assert first.n_evaluations == second.n_evaluations
 
 
+def test_optimize_link_returns_a_frozen_side_exactly():
+    a, b, geom, params = _reference_link()
+    plan = optimize_link(geom, params, sides=("a",), initial=(a, b), n_starts=1, structured=False)
+    assert plan.b == b
+    assert plan.a != a
+
+
+def test_optimize_link_rejects_unknown_sides():
+    a, b, geom, params = _reference_link()
+    with pytest.raises(ValueError, match="unknown sides"):
+        optimize_link(geom, params, sides=("c",), initial=(a, b))
+
+
+def test_network_anchors_free_only_unfrozen_sides(monkeypatch):
+    params = reference_params(1e11)
+    scn = NetworkScenario(
+        tuple(NetworkNode(n, NODE_KM[n], TP_SETTINGS_SIGMA5[n]) for n in "ABCD"),
+        (("A", "C"), ("C", "D")),
+        params,
+    )
+    calls = []
+
+    def tuned(s):
+        return replace(s, mu=s.mu * 1.01)
+
+    def fake_optimize_link(geom, params, sides, *, initial, **kwargs):
+        calls.append((sides, initial))
+        a, b = initial
+        return SimpleNamespace(
+            a=tuned(a) if "a" in sides else a, b=tuned(b) if "b" in sides else b
+        )
+
+    monkeypatch.setattr(planner, "optimize_link", fake_optimize_link)
+    ev = evaluate_network(scn, seed=0, optimize_anchors=True, orientation="nearer_alice")
+
+    settings = {n: TP_SETTINGS_SIGMA5[n] for n in "ABCD"}
+    # the nearer node C takes the first role on both anchors
+    assert calls == [
+        (("a", "b"), (settings["C"], settings["A"])),
+        (("b",), (tuned(settings["C"]), settings["D"])),
+    ]
+    # C is frozen by the first anchor; B is on no anchor and keeps its config
+    assert ev.settings == {
+        "A": tuned(settings["A"]),
+        "B": settings["B"],
+        "C": tuned(settings["C"]),
+        "D": tuned(settings["D"]),
+    }
+
+
 def test_optimize_link_flags_infeasible_links():
     a, b, _, params = _reference_link()
     hopeless = LinkGeometry(400.0, 400.0)
-    plan = optimize_link(hopeless, params, free={"delta"}, initial=(a, b), n_starts=2, seed=1)
+    plan = optimize_link(hopeless, params, sides=(), initial=(a, b), n_starts=2, seed=1)
     assert not plan.feasible
     assert plan.rate == 0.0
     assert plan.evaluation is None
