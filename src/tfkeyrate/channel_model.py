@@ -22,6 +22,19 @@ INTENSITY_LABELS = ("mu", "nu", "o", "ohat")
 
 _PROB_SUM_TOL = 1e-9
 
+# Index of each intensity label into (mu, nu, 0): both vacuum classes send
+# intensity 0, so 9 distinct gains fill the 16 intensity pairs.
+_INTENSITY_INDEX = (0, 1, 2, 2)
+
+
+class InfeasibleDecoyError(RuntimeError):
+    """A decoy bound collapsed to zero or below, or no Z-basis pair was
+    formed; the link yields no key."""
+
+
+class MissingDeclareVacuumError(ValueError):
+    """A rescaling step divides by a vacuum send probability that is zero."""
+
 
 @dataclass(frozen=True)
 class SourceSetting:
@@ -176,6 +189,28 @@ def _exp_gap(t: float, half_sum: float, p_d: float) -> float:
     return math.expm1(t) - math.expm1(-half_sum) + p_d * math.exp(-half_sum)
 
 
+def _average_gain(y: float, omega: float, half_sum: float, p_d: float) -> float:
+    """Phase-averaged success rate 2y (I0(omega) - y) from the amplitudes."""
+    one_minus_y = -math.expm1(-half_sum) + p_d * math.exp(-half_sum)
+    return 2.0 * y * (_i0_minus_one(omega) + one_minus_y)
+
+
+def _slice_terms(
+    a: SourceSetting, b: SourceSetting, geom: LinkGeometry, params: SystemParams
+) -> tuple[float, float, float, float]:
+    """(y, omega, gap, dark) of the decoy pair, where gap = expm1(-half_sum)
+    and dark = p_d e^{-half_sum} are the theta-free terms of _exp_gap.
+
+    A slice integrand then evaluates q_L = y * (expm1(c) - gap + dark), and
+    q_R with -c, for c = omega cos theta: the operations of
+    y * _exp_gap(+-c, half_sum, p_d) in the same order, with one cosine and
+    two expm1 per node.
+    """
+    eta_a, eta_b = geom.transmittances(params)
+    y, omega, half_sum = _amplitudes(a.nu, b.nu, eta_a, eta_b, params.p_d)
+    return y, omega, math.expm1(-half_sum), params.p_d * math.exp(-half_sum)
+
+
 def _i0_minus_one(x: float) -> float:
     """I0(x) - 1 for x >= 0 by the power series sum_k>=1 (x^2/4)^k / (k!)^2.
 
@@ -217,8 +252,7 @@ def per_phase_gains(
     c = omega * math.cos(theta)
     q_l = y * _exp_gap(c, half_sum, params.p_d)
     q_r = y * _exp_gap(-c, half_sum, params.p_d)
-    one_minus_y = -math.expm1(-half_sum) + params.p_d * math.exp(-half_sum)
-    q_total = 2.0 * y * (_i0_minus_one(omega) + one_minus_y)
+    q_total = _average_gain(y, omega, half_sum, params.p_d)
     return GainComponents(y_kk=y, omega=omega, q_L_theta=q_l, q_R_theta=q_r, q_total=q_total)
 
 
@@ -232,6 +266,16 @@ def declare_vacuum_probability(a: SourceSetting, b: SourceSetting) -> float:
     return a.p_ohat * b.p_ohat + a.p_ohat * b.p_o + a.p_o * b.p_ohat
 
 
+def check_vacuum_classes(a: SourceSetting, b: SourceSetting) -> None:
+    """Raise MissingDeclareVacuumError unless both users send both vacuum
+    classes: the yield bounds rescale by each of these probabilities, and
+    the Z basis matches against the first user's "o" row."""
+    if a.p_ohat <= 0.0 or b.p_ohat <= 0.0 or declare_vacuum_probability(a, b) <= 0.0:
+        raise MissingDeclareVacuumError("yield bounds need nonzero undeclared-vacuum probabilities")
+    if a.p_o <= 0.0 or b.p_o <= 0.0:
+        raise MissingDeclareVacuumError("yield bounds need nonzero declared-vacuum probabilities")
+
+
 def expected_pair_counts(
     a: SourceSetting,
     b: SourceSetting,
@@ -239,12 +283,23 @@ def expected_pair_counts(
     params: SystemParams,
 ) -> ObservedCounts:
     """Expected successful-event counts x[k_a][k_b] = N p_{k_a} p_{k_b} q for
-    all sixteen intensity pairs, plus the aggregated declared-vacuum total."""
+    all sixteen intensity pairs, plus the aggregated declared-vacuum total.
+
+    q is overall_gain of the pair, computed with the same operations from
+    transmittances evaluated once.
+    """
+    eta_a, eta_b = geom.transmittances(params)
+    p_d = params.p_d
+    gains = [
+        [_average_gain(*_amplitudes(k_a, k_b, eta_a, eta_b, p_d), p_d) for k_b in (b.mu, b.nu, 0.0)]
+        for k_a in (a.mu, a.nu, 0.0)
+    ]
+    probs_a = (a.p_mu, a.p_nu, a.p_o, a.p_ohat)
+    probs_b = (b.p_mu, b.p_nu, b.p_o, b.p_ohat)
     x: dict[tuple[str, str], float] = {}
-    for la in INTENSITY_LABELS:
-        for lb in INTENSITY_LABELS:
-            q = overall_gain(a.intensity(la), b.intensity(lb), geom, params)
-            x[(la, lb)] = params.N * a.probability(la) * b.probability(lb) * q
+    for la, p_a, i in zip(INTENSITY_LABELS, probs_a, _INTENSITY_INDEX):
+        for lb, p_b, j in zip(INTENSITY_LABELS, probs_b, _INTENSITY_INDEX):
+            x[(la, lb)] = params.N * p_a * p_b * gains[i][j]
     x_oo_d = x[("ohat", "ohat")] + x[("ohat", "o")] + x[("o", "ohat")]
     return ObservedCounts(x=x, x_oo_d=x_oo_d)
 
@@ -255,13 +310,15 @@ def z_basis_counts(counts: ObservedCounts, params: SystemParams) -> tuple[float,
     Events with the first user silent ("o" row) are matched against events
     where she sent mu; a matched pair is correct when the second user's mu
     lands in the opposite bin and an error when it lands in the same bin.
-    The smaller pool limits the number of pairs.
+    The smaller pool limits the number of pairs; an empty pool (nothing
+    can click, or a row never sent) forms none and raises
+    InfeasibleDecoyError.
     """
     row_o = counts.x[("o", "o")] + counts.x[("o", "mu")]
     row_mu = counts.x[("mu", "o")] + counts.x[("mu", "mu")]
     x_min = min(row_o, row_mu)
     if x_min <= 0.0:
-        raise ValueError("Z basis has no post-matched pairs; error rate undefined")
+        raise InfeasibleDecoyError("empty Z-basis matching pool; no post-matched pairs")
     n_c = x_min * (counts.x[("o", "mu")] / row_o) * (counts.x[("mu", "o")] / row_mu)
     n_e = x_min * (counts.x[("o", "o")] / row_o) * (counts.x[("mu", "mu")] / row_mu)
     n_z = n_c + n_e
@@ -305,27 +362,21 @@ def x_basis_counts(
     """
     if form not in ("first_principles", "paper_closed_form"):
         raise ValueError(f"unknown X error form: {form!r}")
-    eta_a, eta_b = geom.transmittances(params)
-    y, omega, half_sum = _amplitudes(a.nu, b.nu, eta_a, eta_b, params.p_d)
-    p_d = params.p_d
+    y, omega, gap, dark = _slice_terms(a, b, geom, params)
     prefactor = params.N * a.p_nu * b.p_nu / math.pi
 
-    def q_theta(theta: float) -> tuple[float, float]:
-        c = omega * math.cos(theta)
-        q_l = y * _exp_gap(c, half_sum, p_d)
-        q_r = y * _exp_gap(-c, half_sum, p_d)
-        return q_l, q_r
-
     def total_integrand(theta: float) -> float:
-        q_l, q_r = q_theta(theta)
-        return q_l + q_r
+        c = omega * math.cos(theta)
+        return y * (math.expm1(c) - gap + dark) + y * (math.expm1(-c) - gap + dark)
 
     n_x = prefactor * _x_window_integral(total_integrand, params)
 
     if form == "first_principles":
 
         def error_integrand(theta: float) -> float:
-            q_l, q_r = q_theta(theta)
+            c = omega * math.cos(theta)
+            q_l = y * (math.expm1(c) - gap + dark)
+            q_r = y * (math.expm1(-c) - gap + dark)
             q = q_l + q_r
             if q <= 0.0:
                 return 0.0
@@ -354,12 +405,10 @@ def aopp_x_error_count(
 ) -> float:
     """X-basis error count of the rival pairing scheme, for comparison runs:
     (2 N p_nu_a p_nu_b / pi) * integral of q_R over the slice."""
-    eta_a, eta_b = geom.transmittances(params)
-    y, omega, half_sum = _amplitudes(a.nu, b.nu, eta_a, eta_b, params.p_d)
-    p_d = params.p_d
+    y, omega, gap, dark = _slice_terms(a, b, geom, params)
 
     def integrand(theta: float) -> float:
-        return y * _exp_gap(-omega * math.cos(theta), half_sum, p_d)
+        return y * (math.expm1(-omega * math.cos(theta)) - gap + dark)
 
     return 2.0 * params.N * a.p_nu * b.p_nu / math.pi * _x_window_integral(integrand, params)
 
@@ -383,7 +432,12 @@ def observed_statistics(
     geom: LinkGeometry,
     params: SystemParams,
 ) -> ObservedCounts:
-    """Fully populated ObservedCounts: pair counts plus Z and X totals."""
+    """Fully populated ObservedCounts: pair counts plus Z and X totals.
+
+    Settings without both vacuum classes raise MissingDeclareVacuumError
+    before any count is formed.
+    """
+    check_vacuum_classes(a, b)
     counts = expected_pair_counts(a, b, geom, params)
     n_z, m_z, n_c, n_e, e_z = z_basis_counts(counts, params)
     n_x, m_x = x_basis_counts(a, b, geom, params)

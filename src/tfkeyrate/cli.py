@@ -20,6 +20,7 @@ all files are UTF-8 with LF line endings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -460,13 +461,16 @@ def cmd_keyrate(doc: ScenarioDocument, args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
 
     a, b = near.setting, far.setting
+    evaluation = None
     if doc.keyrate["optimize_sources"]:
         plan = optimize_link(geom, params, initial=(a, b), seed=seed, mode=mode)
-        a, b, params = plan.a, plan.b, plan.params
+        a, b, params, evaluation = plan.a, plan.b, plan.params, plan.evaluation
     elif doc.keyrate["optimize_delta"]:
-        params, _, _, _ = polish_delta(a, b, geom, params, mode)
-
-    evaluation = evaluate_link(a, b, geom, params, mode=mode)
+        params, _, evaluation, _ = polish_delta(a, b, geom, params, mode)
+    if evaluation is None:
+        # nothing was optimized, or the optimized point is infeasible, where
+        # this call raises InfeasibleDecoyError (exit 3)
+        evaluation = evaluate_link(a, b, geom, params, mode=mode)
     res = evaluation.result
     dec = evaluation.decoy
     counts = evaluation.counts
@@ -681,6 +685,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tfkeyrate",

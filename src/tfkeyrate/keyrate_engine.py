@@ -33,12 +33,14 @@ import math
 from dataclasses import dataclass, field
 
 from .channel_model import (
+    InfeasibleDecoyError,
     LinkGeometry,
+    MissingDeclareVacuumError,
     ObservedCounts,
     SourceSetting,
     SystemParams,
-    _amplitudes,
-    _exp_gap,
+    _slice_terms,
+    check_vacuum_classes,
     declare_vacuum_probability,
     observed_statistics,
     z_pool_sizes,
@@ -55,15 +57,6 @@ from .finite_stats import (
 
 MODE_FINITE = "finite"
 MODE_ASYMPTOTIC = "asymptotic"
-
-
-class InfeasibleDecoyError(RuntimeError):
-    """A decoy bound collapsed to zero or below, or no Z-basis pair was
-    formed; the link yields no key."""
-
-
-class MissingDeclareVacuumError(ValueError):
-    """A rescaling step divides by a vacuum send probability that is zero."""
 
 
 @dataclass
@@ -158,11 +151,8 @@ def estimate_singles_yields(
     user's pulse collapsed to one photon; y10 is the mirror image.
     """
     _check_mode(mode)
+    check_vacuum_classes(a, b)
     p_ood = declare_vacuum_probability(a, b)
-    if a.p_ohat <= 0.0 or b.p_ohat <= 0.0 or p_ood <= 0.0:
-        raise MissingDeclareVacuumError("yield bounds need nonzero undeclared-vacuum probabilities")
-    if a.p_o <= 0.0 or b.p_o <= 0.0:
-        raise MissingDeclareVacuumError("yield bounds need nonzero declared-vacuum probabilities")
     eps = params.eps
     n_rounds = params.N
 
@@ -263,13 +253,11 @@ def estimate_s0mub_z(
 
 def _inverse_gain_integral(a: SourceSetting, b: SourceSetting, geom: LinkGeometry, params: SystemParams) -> float:
     """Integral of 1/q^theta over the slice for the decoy-intensity pair."""
-    eta_a, eta_b = geom.transmittances(params)
-    y, omega, half_sum = _amplitudes(a.nu, b.nu, eta_a, eta_b, params.p_d)
-    p_d = params.p_d
+    y, omega, gap, dark = _slice_terms(a, b, geom, params)
 
     def integrand(theta: float) -> float:
         c = omega * math.cos(theta)
-        q = y * (_exp_gap(c, half_sum, p_d) + _exp_gap(-c, half_sum, p_d))
+        q = y * ((math.expm1(c) - gap + dark) + (math.expm1(-c) - gap + dark))
         if q <= 0.0 or not math.isfinite(q):
             raise InfeasibleDecoyError("X-basis per-phase gain vanished; slice integral diverges")
         return 1.0 / q
@@ -286,18 +274,24 @@ def estimate_s11_x(
     mode: str = MODE_FINITE,
     ledger: ChernoffLedger | None = None,
     yields: tuple[float, float] | None = None,
+    inverse_gain_integral: float | None = None,
 ) -> float:
     """Observed lower bound on effective single-photon X-basis events.
 
     Uses the identity that the effective single-photon pair yield is the
     same in both bases, so the Z-side yield product y01*y10 feeds the
     phase-sliced X count through the inverse-gain integral.
+
+    inverse_gain_integral lets the caller pass the integral of 1/q^theta
+    over the slice, which estimate_e11_x needs too, so a pipeline computes
+    it once; a standalone call computes it itself.
     """
     _check_mode(mode)
     if yields is None:
         yields = estimate_singles_yields(counts, a, b, params, mode=mode, ledger=ledger)
     y01_lower, y10_lower = yields
-    integral = _inverse_gain_integral(a, b, geom, params)
+    if inverse_gain_integral is None:
+        inverse_gain_integral = _inverse_gain_integral(a, b, geom, params)
     s11_x_star = (
         2.0
         * params.N
@@ -309,7 +303,7 @@ def estimate_s11_x(
         * y01_lower
         * y10_lower
         / math.pi
-        * integral
+        * inverse_gain_integral
     )
     return _chernoff(s11_x_star, params.eps, mode, ledger, "s11_x observed lower", observed=True)
 
@@ -324,6 +318,7 @@ def estimate_e11_x(
     ledger: ChernoffLedger | None = None,
     s11_x_lower: float | None = None,
     x_ood_expected_bounds: tuple[float, float] | None = None,
+    inverse_gain_integral: float | None = None,
 ) -> tuple[float, float]:
     """Upper bounds (t11_x_upper, e11_x_upper) on the single-photon X errors.
 
@@ -335,7 +330,9 @@ def estimate_e11_x(
 
     x_ood_expected_bounds lets the caller reuse declared-vacuum conversions
     already charged earlier in the pipeline; a standalone call computes and
-    charges them itself.
+    charges them itself.  Likewise inverse_gain_integral reuses the integral
+    of 1/q^theta over the slice that estimate_s11_x was given, and a
+    standalone call computes it.
     """
     _check_mode(mode)
     if counts.m_x is None or counts.n_x is None:
@@ -354,8 +351,9 @@ def estimate_e11_x(
 
     pref = params.N * a.p_nu * b.p_nu / math.pi
     n_vac_star = 2.0 * params.delta * pref * math.exp(-(a.nu + b.nu)) * q00_low
-    integral = _inverse_gain_integral(a, b, geom, params)
-    n00_star = pref * math.exp(-2.0 * (a.nu + b.nu)) * q00_up * q00_up * integral
+    if inverse_gain_integral is None:
+        inverse_gain_integral = _inverse_gain_integral(a, b, geom, params)
+    n00_star = pref * math.exp(-2.0 * (a.nu + b.nu)) * q00_up * q00_up * inverse_gain_integral
 
     m_vac = _chernoff(n_vac_star / 2.0, eps, mode, ledger, "m_vac observed lower", observed=True)
     m00 = _chernoff(n00_star / 2.0, eps, mode, ledger, "m00 observed upper", observed=True, upper=True)
@@ -452,7 +450,12 @@ def evaluate_counts(
     yields = estimate_singles_yields(counts, a, b, params, mode=mode, ledger=ledger)
     s11_z = estimate_s11_z(counts, a, b, params, mode=mode, ledger=ledger, yields=yields)
     s0mub = estimate_s0mub_z(counts, a, b, params, mode=mode, ledger=ledger)
-    s11_x = estimate_s11_x(counts, a, b, geom, params, mode=mode, ledger=ledger, yields=yields)
+    # one integral of 1/q^theta serves both X-basis steps
+    inverse_gain = _inverse_gain_integral(a, b, geom, params)
+    s11_x = estimate_s11_x(
+        counts, a, b, geom, params, mode=mode, ledger=ledger, yields=yields,
+        inverse_gain_integral=inverse_gain,
+    )
     # reuse of the declared-vacuum conversions charged during the yield and
     # s0mub steps; recomputed here without new budget charges
     if mode == MODE_ASYMPTOTIC:
@@ -469,6 +472,7 @@ def evaluate_counts(
         ledger=ledger,
         s11_x_lower=s11_x,
         x_ood_expected_bounds=x_ood_bounds,
+        inverse_gain_integral=inverse_gain,
     )
     dec = DecoyEstimates(
         y01_lower=yields[0],

@@ -234,19 +234,25 @@ def polish_delta(
     """Deterministic slice-width refinement at fixed source settings.
 
     Evaluates an integer-degree grid, then a bounded scalar minimization
-    around the grid optimum, and returns the best point seen.  Pure
-    function of its arguments, so re-polishing frozen settings reproduces
-    the optimization result exactly.
+    around the grid optimum, and returns the best point seen with the
+    evaluation made there and the number of evaluations.  Pure function of
+    its arguments, so re-polishing frozen settings reproduces the
+    optimization result exactly.
     """
     # imported where it runs, so commands that never optimize skip its import cost
     from scipy.optimize import minimize_scalar
 
     evals = 0
+    tried: dict[float, tuple[float, LinkEvaluation | None]] = {}
 
     def rate_at(delta: float) -> float:
         nonlocal evals
         evals += 1
-        return _safe_rate(a, b, geom, replace(params, delta=delta), mode)[0]
+        # the scalar search passes numpy floats; the same value as a float
+        # keeps every returned number a plain float
+        delta = float(delta)
+        tried[delta] = _safe_rate(a, b, geom, replace(params, delta=delta), mode)
+        return tried[delta][0]
 
     candidates = [(rate_at(d), d) for d in _DELTA_GRID]
     best_rate, best_delta = max(candidates, key=lambda c: (c[0], -c[1]))
@@ -255,12 +261,11 @@ def polish_delta(
     res = minimize_scalar(
         lambda d: -rate_at(d), bounds=(lo, hi), method="bounded", options={"xatol": 1e-6}
     )
+    # res.fun is the rate evaluated at res.x, so its evaluation is in tried
     if -res.fun > best_rate:
-        best_rate, best_delta = -res.fun, float(res.x)
-    final_params = replace(params, delta=best_delta)
-    rate, ev = _safe_rate(a, b, geom, final_params, mode)
-    evals += 1
-    return final_params, rate, ev, evals
+        best_delta = float(res.x)
+    rate, ev = tried[best_delta]
+    return replace(params, delta=best_delta), rate, ev, evals
 
 
 def optimize_link(

@@ -10,7 +10,9 @@ from scipy import integrate
 
 from conftest import DEG
 from tfkeyrate.channel_model import (
+    InfeasibleDecoyError,
     LinkGeometry,
+    MissingDeclareVacuumError,
     SourceSetting,
     SystemParams,
     aopp_x_error_count,
@@ -223,8 +225,26 @@ def test_z_counts_require_vacuum_rows():
     params = _params()
     geom = LinkGeometry(100.0, 100.0)
     counts = expected_pair_counts(no_vacuum, _SOURCE_B, geom, params)
-    with pytest.raises(ValueError):
+    with pytest.raises(InfeasibleDecoyError):
         z_basis_counts(counts, params)
+
+
+def test_observed_statistics_checks_vacuum_classes_before_z_counts():
+    # a declared vacuum that is never sent is a settings error, not an
+    # empty matching pool
+    no_vacuum = SourceSetting(0.45, 0.10, 0.50, 0.30, 0.0, 0.20)
+    with pytest.raises(MissingDeclareVacuumError, match="nonzero declared-vacuum"):
+        observed_statistics(no_vacuum, _SOURCE_B, LinkGeometry(100.0, 100.0), _params())
+
+
+def test_z_counts_without_any_click_are_infeasible():
+    # without dark counts, 20000 km arms transmit nothing: every pool is empty
+    geom = LinkGeometry(20000.0, 20000.0)
+    params = _params(p_d=0.0)
+    counts = expected_pair_counts(_SOURCE_A, _SOURCE_B, geom, params)
+    assert z_pool_sizes(counts) == (0.0, 0.0)
+    with pytest.raises(InfeasibleDecoyError, match="empty Z-basis"):
+        observed_statistics(_SOURCE_A, _SOURCE_B, geom, params)
 
 
 def test_z_error_mixing_under_misalignment():

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from conftest import RATES_SIGMA5
+from tfkeyrate import cli, planner
 from tfkeyrate.cli import (
     CSV_NETWORK_HEADER,
     CSV_SCAN_HEADER,
@@ -268,6 +269,74 @@ def test_never_sent_undeclared_vacuum_exits_2(tmp_path, capsys, command, config)
     source["p_o"] += source["p_ohat"]
     source["p_ohat"] = 0.0
     _exits_2_quickly(tmp_path, capsys, command, doc, "undeclared-vacuum")
+
+
+@pytest.mark.parametrize(
+    "command, config", [("keyrate", "link_a_c.json"), ("network", "network_four_users.json")]
+)
+def test_never_sent_declared_vacuum_exits_2(tmp_path, capsys, command, config):
+    # node C, the nearer node of its links, never sends the declared vacuum,
+    # so its Z-basis matching row is empty because of the settings
+    doc = json.loads(open(_shipped(config), encoding="utf-8").read())
+    (source,) = [n["source"] for n in doc["nodes"] if n["name"] == "C"]
+    source["p_mu"] += source["p_o"]
+    source["p_o"] = 0.0
+    _exits_2_quickly(tmp_path, capsys, command, doc, "nonzero declared-vacuum")
+
+
+def test_link_where_nothing_clicks_is_infeasible(tmp_path, capsys):
+    # no dark counts and 20000 km arms: every Z-basis matching pool is empty
+    doc = json.loads(open(_shipped("link_a_c.json"), encoding="utf-8").read())
+    doc["system"]["p_d"] = 0.0
+    for node in doc["nodes"]:
+        node["distance_km"] = 20000.0
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "report.json"
+    assert main(["keyrate", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "empty Z-basis" in capsys.readouterr().err
+
+    csv_out = tmp_path / "network.csv"
+    assert main(["network", "--config", cfg, "--out", str(csv_out)]) == 0
+    header, row = csv_out.read_text(encoding="utf-8").splitlines()
+    assert header == CSV_NETWORK_HEADER
+    assert float(row.split(",")[4]) == 0.0
+
+
+def test_keyrate_evaluates_no_link_beyond_the_polish(tmp_path, monkeypatch):
+    calls = []
+    polish_evals = []
+    evaluate_link, polish_delta = cli.evaluate_link, cli.polish_delta
+
+    def counted_link(*args, **kwargs):
+        calls.append(args)
+        return evaluate_link(*args, **kwargs)
+
+    def recorded_polish(*args, **kwargs):
+        result = polish_delta(*args, **kwargs)
+        polish_evals.append(result[3])
+        return result
+
+    monkeypatch.setattr(cli, "evaluate_link", counted_link)
+    monkeypatch.setattr(planner, "evaluate_link", counted_link)
+    monkeypatch.setattr(cli, "polish_delta", recorded_polish)
+    out = tmp_path / "report.json"
+    assert main(["keyrate", "--config", _shipped("link_a_c.json"), "--out", str(out)]) == 0
+    assert len(polish_evals) == 1
+    assert len(calls) == polish_evals[0]
+
+
+def test_two_runs_in_one_process_give_identical_reports(capsys):
+    # the argument parser is built once per process and shared by every
+    # run; a flag given to one run must not carry over to the next
+    argv = ["keyrate", "--config", _shipped("link_a_c.json")]
+    reports = []
+    for extra in ([], ["--asymptotic"], []):
+        assert main(argv + extra) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[2]
+    modes = [json.loads(r)["results"]["mode"] for r in reports]
+    assert modes == ["finite", "asymptotic", "finite"]
 
 
 @pytest.mark.parametrize("mu", [800.0, 2500.0])

@@ -7,6 +7,12 @@ blocks of JSON reports, and the rows plus the sidecar's `config` and
 match exactly, floats to a relative 1e-9 (reports carry 12 significant
 digits).  To refresh a golden file after an intended change, rerun the
 command with `--out tests/golden/<name>` and review the diff.
+
+tests/golden/keyrate_links.json holds its own inputs: 24 `keyrate`
+requests (arms 0-250 km, sigma 0/5/18/40 deg, N 1e9/1e11/1e13, slice
+polish on, four asymptotic) with each config inline, the exit code and the
+report's `results` (absent for exit 3).  `python tests/test_golden_reports.py`
+(with src/ on PYTHONPATH) reruns them and rewrites that file.
 """
 
 import csv
@@ -23,6 +29,8 @@ CONFIG_DIR = os.path.join(HERE, os.pardir, "configs")
 GOLDEN_DIR = os.path.join(HERE, "golden")
 
 REL_TOL = 1e-9
+
+KEYRATE_LINKS = os.path.join(GOLDEN_DIR, "keyrate_links.json")
 
 JSON_CASES = {
     "keyrate_link_a_c.json": ["keyrate", "--config", "link_a_c.json"],
@@ -104,3 +112,36 @@ def test_network_report_matches_golden(tmp_path):
     meta, golden_meta = _load_json(str(out) + ".meta.json"), _load_json(golden + ".meta.json")
     _assert_same(meta["config"], golden_meta["config"], "config")
     _assert_same(meta["frozen_settings"], golden_meta["frozen_settings"], "frozen_settings")
+
+
+def _run_keyrate_case(tmp_path, case):
+    config = tmp_path / f"{case['name']}.json"
+    config.write_text(json.dumps(case["config"]), encoding="utf-8")
+    out = tmp_path / f"{case['name']}.report.json"
+    argv = ["keyrate", "--config", str(config), "--out", str(out)]
+    code = main(argv + (["--asymptotic"] if case["asymptotic"] else []))
+    return code, (_load_json(out)["results"] if code == 0 else None)
+
+
+@pytest.mark.parametrize("case", _load_json(KEYRATE_LINKS), ids=lambda case: case["name"])
+def test_keyrate_link_matches_golden(tmp_path, case):
+    code, results = _run_keyrate_case(tmp_path, case)
+    assert code == case["exit"]
+    if code == 0:
+        _assert_same(results, case["results"], "results")
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    cases = _load_json(KEYRATE_LINKS)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in cases:
+            case["exit"], results = _run_keyrate_case(pathlib.Path(tmp), case)
+            case.pop("results", None)
+            if results is not None:
+                case["results"] = results
+    with open(KEYRATE_LINKS, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(cases, fh, indent=1, sort_keys=True)
+        fh.write("\n")

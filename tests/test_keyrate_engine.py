@@ -6,6 +6,7 @@ import math
 import pytest
 
 from conftest import DEG, TP_SETTINGS_SIGMA5, reference_params
+from tfkeyrate import channel_model, finite_stats, keyrate_engine
 from tfkeyrate.channel_model import (
     LinkGeometry,
     SourceSetting,
@@ -160,6 +161,39 @@ def test_e11_accepts_precomputed_s11():
             counts, _SOURCE_A, _SOURCE_B, geom, params, mode=mode, s11_x_lower=s11_x
         )
         assert direct == seeded
+
+
+def test_x_steps_accept_a_precomputed_inverse_gain_integral():
+    params = _params()
+    geom = LinkGeometry(120.0, 120.0)
+    counts = observed_statistics(_SOURCE_A, _SOURCE_B, geom, params)
+    integral = keyrate_engine._inverse_gain_integral(_SOURCE_A, _SOURCE_B, geom, params)
+    assert integral > 0.0
+    for mode in (MODE_ASYMPTOTIC, MODE_FINITE):
+        args = (counts, _SOURCE_A, _SOURCE_B, geom, params)
+        s11_x = estimate_s11_x(*args, mode=mode)
+        assert estimate_s11_x(*args, mode=mode, inverse_gain_integral=integral) == s11_x
+        direct = estimate_e11_x(*args, mode=mode, s11_x_lower=s11_x)
+        seeded = estimate_e11_x(*args, mode=mode, s11_x_lower=s11_x, inverse_gain_integral=integral)
+        assert direct == seeded
+
+
+def test_one_link_evaluation_runs_three_slice_integrals(monkeypatch):
+    # n_x, m_x and the integral of 1/q, which both X-basis steps share
+    spans = []
+    original = finite_stats.integrate_adaptive_simpson
+
+    def counted(f, a, b, *args, **kwargs):
+        spans.append((a, b))
+        return original(f, a, b, *args, **kwargs)
+
+    for module in (finite_stats, channel_model, keyrate_engine):
+        monkeypatch.setattr(module, "integrate_adaptive_simpson", counted)
+    params = _params()
+    for mode in (MODE_FINITE, MODE_ASYMPTOTIC):
+        spans.clear()
+        evaluate_link(_SOURCE_A, _SOURCE_B, LinkGeometry(120.0, 200.0), params, mode=mode)
+        assert spans == [(params.sigma, params.sigma + params.delta)] * 3
 
 
 def test_phi_upper_bound_behavior():

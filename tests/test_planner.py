@@ -55,6 +55,33 @@ def test_channel_shape_geometry_and_validation():
         asym.geometry(80.0)
 
 
+def test_polish_counts_its_evaluations_and_makes_none_after_its_search(monkeypatch):
+    # the winner's evaluation is the one made during the search, returned
+    # as is, so polish evaluates no link after the scalar search ends
+    import scipy.optimize
+
+    events = []
+    evaluate_link, minimize_scalar = planner.evaluate_link, scipy.optimize.minimize_scalar
+
+    def counted_link(*args, **kwargs):
+        events.append("link")
+        return evaluate_link(*args, **kwargs)
+
+    def marked_search(*args, **kwargs):
+        res = minimize_scalar(*args, **kwargs)
+        events.append("search done")
+        return res
+
+    monkeypatch.setattr(planner, "evaluate_link", counted_link)
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", marked_search)
+    a, b, geom, params = _reference_link()
+    polished, rate, evaluation, n_evals = polish_delta(a, b, geom, params)
+    assert events[-1] == "search done"
+    assert events.count("link") == n_evals
+    assert evaluation == evaluate_link(a, b, geom, polished)
+    assert rate == evaluation.result.rate > 0.0
+
+
 def test_polish_delta_reaches_reference_link_rate():
     a, b, geom, params = _reference_link()
     polished, rate, evaluation, n_evals = polish_delta(a, b, geom, params)
