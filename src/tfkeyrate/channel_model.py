@@ -14,6 +14,7 @@ distinction is purely classical announcement; both are zero intensity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .finite_stats import integrate_adaptive_simpson
@@ -21,6 +22,11 @@ from .finite_stats import integrate_adaptive_simpson
 INTENSITY_LABELS = ("mu", "nu", "o", "ohat")
 
 _PROB_SUM_TOL = 1e-9
+
+# eps squared and N squared must stay normal floats: the random-sampling
+# correction divides by eps^2, and s11_z multiplies two counts of order N
+_EPS_MIN = math.sqrt(sys.float_info.min)
+_N_MAX = math.sqrt(sys.float_info.max)
 
 # Index of each intensity label into (mu, nu, 0): both vacuum classes send
 # intensity 0, so 9 distinct gains fill the 16 intensity pairs.
@@ -113,12 +119,16 @@ class SystemParams:
             raise ValueError(f"error-correction efficiency f must be finite and >= 1, got {self.f}")
         if not (math.isfinite(self.N) and self.N > 0.0):
             raise ValueError(f"round count N must be finite and positive, got {self.N}")
+        if self.N > _N_MAX:
+            raise ValueError(f"round count N must be at most sqrt(float max) = {_N_MAX:.4g}, got {self.N}")
         if not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be finite, got {self.sigma}")
         if not 0.0 < self.delta <= math.pi / 2.0:
             raise ValueError(f"delta must be in (0, pi/2], got {self.delta}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must be in (0, 1), got {self.eps}")
+        if self.eps < _EPS_MIN:
+            raise ValueError(f"eps must be at least sqrt(float min) = {_EPS_MIN:.4g}, got {self.eps}")
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,14 @@ def random_sampling_gamma(n: float, k: float, lam: float, eps: float) -> float:
     n and k are the sizes of the target and test populations, lam is the
     observed test-side rate.  Undefined at lam in {0, 1} because the log term
     diverges there; callers handle those corners before calling.
+
+    The tail bound behind gamma^U is a prefactor
+    sqrt((n+k) / (2 pi n k lam (1-lam))) times a factor that falls from 1 as
+    gamma grows, and G is (n+k)/(n k) times the log of prefactor^2 / eps^2.
+    When that log argument is <= 1 (G <= 0, as with a large eps or huge
+    populations) the prefactor is already <= eps, so gamma = 0 meets the
+    failure bound and 0.0 is returned; the closed form would take the log
+    or the square root of a negative number there.
     """
     if n <= 0.0 or k <= 0.0:
         raise ValueError(f"population sizes must be positive, got n={n}, k={k}")
@@ -76,7 +84,10 @@ def random_sampling_gamma(n: float, k: float, lam: float, eps: float) -> float:
         raise ValueError(f"failure probability must be in (0, 1), got {eps}")
     a_big = max(n, k)
     total = n + k
-    g = (total / (n * k)) * math.log(total / (2.0 * math.pi * n * k * lam * (1.0 - lam) * eps * eps))
+    log_arg = total / (2.0 * math.pi * n * k * lam * (1.0 - lam) * eps * eps)
+    if log_arg <= 1.0:
+        return 0.0
+    g = (total / (n * k)) * math.log(log_arg)
     ag_over_total = a_big * g / total
     numerator = (1.0 - 2.0 * lam) * ag_over_total + math.sqrt(ag_over_total * ag_over_total + 4.0 * lam * (1.0 - lam) * g)
     return numerator / (2.0 + 2.0 * ag_over_total * a_big / total)

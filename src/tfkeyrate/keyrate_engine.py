@@ -7,10 +7,23 @@ effective single-photon Z and X pair counts, bound the X-basis error count by
 subtracting/compensating vacuum contributions, then lift the X error rate to
 a Z phase-error rate with the random-sampling correction.
 
-evaluate_counts is the only place the chain runs, for both modes and for
-any counts: evaluate_link feeds it the expected counts of a link, the
-montecarlo command the tally of a simulated run.  Asymptotic mode is the
-same path with every conversion the identity and no finite-size penalties.
+The chain runs in two halves, for both modes and for any counts:
+evaluate_link runs it on the expected counts of a link, evaluate_counts on
+counts it is given (the montecarlo command passes a simulated tally).
+Asymptotic mode is the same path with every conversion the identity and no
+finite-size penalties.
+
+* The slice-free half reads only the pair counts and the Z-basis totals:
+  the two yield bounds, s11_z, s0mub_z, both bounds on the declared-vacuum
+  total, the first 10 ledger charges and the budget.  No slice width
+  changes any of them.
+* The slice half reads the phase slice [sigma, sigma + delta]: the X-basis
+  totals (x_basis_counts), the integral of 1/q, s11_x, e11_x, phi11_z and
+  the key length.
+
+So a slice-width search evaluates its first width in full and, given that
+evaluation, evaluate_link runs only the slice half for every other width,
+with every number identical to a full evaluation there.
 
 Every expected<->observed conversion is charged to a ChernoffLedger.  The
 standard finite-key pipeline performs exactly 13 of them (the count the
@@ -25,12 +38,16 @@ overall failure probability is budgeted for):
 * s11_x: one expected->observed conversion;
 * e11_x: expected->observed conversions of the two vacuum error terms (their
   ingredients reuse the declared-vacuum bounds already charged above).
+
+The ledger counts charges, not arithmetic: the five counts behind the
+first nine charges are each converted once (expected_count_bounds) and the
+charges read the side they need.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .channel_model import (
     InfeasibleDecoyError,
@@ -43,6 +60,7 @@ from .channel_model import (
     check_vacuum_classes,
     declare_vacuum_probability,
     observed_statistics,
+    x_basis_counts,
     z_pool_sizes,
 )
 from .finite_stats import (
@@ -99,8 +117,27 @@ class KeyRateResult:
 
 
 @dataclass(frozen=True)
+class SliceFreeEstimates:
+    """The slice-free half of one evaluation: the bounds no slice width
+    changes, the ledger charges made for them, and the budget."""
+
+    y01_lower: float
+    y10_lower: float
+    s11_z_lower: float
+    s0mub_z_lower: float
+    x_oo_d_bounds: tuple[float, float]
+    charges: tuple[str, ...]
+    budget: EpsilonBudget
+
+
+@dataclass(frozen=True)
 class LinkEvaluation:
-    """One full pipeline run: counts, estimates, result, and the budget."""
+    """One full pipeline run: counts, estimates, result, and the budget.
+
+    slice_free is the run's slice-free half; link holds the (a, b, geom,
+    params) whose expected counts evaluate_link evaluated, and is None for
+    counts given to evaluate_counts.
+    """
 
     result: KeyRateResult
     decoy: DecoyEstimates
@@ -108,6 +145,8 @@ class LinkEvaluation:
     budget: EpsilonBudget
     chernoff_applications: tuple[str, ...]
     mode: str
+    slice_free: SliceFreeEstimates
+    link: tuple[SourceSetting, SourceSetting, LinkGeometry, SystemParams] | None
 
 
 def _check_mode(mode: str) -> None:
@@ -115,25 +154,56 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown mode: {mode!r}")
 
 
-def _chernoff(
-    x: float,
+# the counts the decoy chain bounds from their expected side: all five feed
+# the yield step, and s0mub_z and e11_x reuse two of them
+X_OO_D = "x_oo_d"
+_EXPECTED_COUNTS = (("o", "nu"), ("ohat", "mu"), X_OO_D, ("nu", "o"), ("mu", "ohat"))
+
+
+def expected_count_bounds(
+    counts: ObservedCounts,
+    eps: float,
+    mode: str = MODE_FINITE,
+    keys: tuple = _EXPECTED_COUNTS,
+) -> dict:
+    """(lower, upper) bounds on the expectation behind each count in keys,
+    one Chernoff conversion per count; x_oo_d is keyed X_OO_D, the pair
+    counts by their labels.  Asymptotic mode bounds a count by itself."""
+    _check_mode(mode)
+    bounds = {}
+    for key in keys:
+        x = counts.x_oo_d if key == X_OO_D else counts.x[key]
+        bounds[key] = (x, x) if mode == MODE_ASYMPTOTIC else chernoff_expected_bounds(x, eps)
+    return bounds
+
+
+def _expected(
+    bounds: dict, key, mode: str, ledger: ChernoffLedger | None, label: str, *, upper: bool = False
+) -> float:
+    """One side of a count's expected-value bounds, charged to the ledger;
+    asymptotic mode charges nothing."""
+    if mode != MODE_ASYMPTOTIC and ledger is not None:
+        ledger.charge(label)
+    return bounds[key][1 if upper else 0]
+
+
+def _observed(
+    x_star: float,
     eps: float,
     mode: str,
     ledger: ChernoffLedger | None,
     label: str,
     *,
-    observed: bool = False,
     upper: bool = False,
 ) -> float:
-    """One side of a Chernoff conversion, charged to the ledger: bounds on
-    an expectation given a count, or with observed=True on a count given its
-    expectation.  Asymptotic mode takes the value itself and charges nothing."""
+    """One side of the bounds on a count given its expectation x_star,
+    charged to the ledger.  Asymptotic mode takes x_star itself and charges
+    nothing."""
     if mode == MODE_ASYMPTOTIC:
-        return x
+        return x_star
     if ledger is not None:
         ledger.charge(label)
-    bounds = chernoff_observed_bounds if observed else chernoff_expected_bounds
-    return bounds(x, eps)[1 if upper else 0]
+    return chernoff_observed_bounds(x_star, eps)[1 if upper else 0]
 
 
 def estimate_singles_yields(
@@ -143,22 +213,27 @@ def estimate_singles_yields(
     params: SystemParams,
     mode: str = MODE_FINITE,
     ledger: ChernoffLedger | None = None,
+    expected_bounds: dict | None = None,
 ) -> tuple[float, float]:
     """Expected lower bounds (y01_lower, y10_lower) on the single-photon
     yields, from the vacuum/decoy linear combinations.
 
     y01 is the yield of rounds where the first user is silent and the second
     user's pulse collapsed to one photon; y10 is the mirror image.
+    expected_bounds lets a pipeline pass the expected_count_bounds of counts
+    it computed once; a standalone call computes them.
     """
     _check_mode(mode)
     check_vacuum_classes(a, b)
     p_ood = declare_vacuum_probability(a, b)
-    eps = params.eps
     n_rounds = params.N
+    bounds = expected_bounds
+    if bounds is None:
+        bounds = expected_count_bounds(counts, params.eps, mode)
 
-    x_o_nu = _chernoff(counts.x[("o", "nu")], eps, mode, ledger, "x[o,nu] lower (y01)")
-    x_ohat_mu = _chernoff(counts.x[("ohat", "mu")], eps, mode, ledger, "x[ohat,mu] upper (y01)", upper=True)
-    x_ood_up_b = _chernoff(counts.x_oo_d, eps, mode, ledger, "x_oo_d upper (y01)", upper=True)
+    x_o_nu = _expected(bounds, ("o", "nu"), mode, ledger, "x[o,nu] lower (y01)")
+    x_ohat_mu = _expected(bounds, ("ohat", "mu"), mode, ledger, "x[ohat,mu] upper (y01)", upper=True)
+    x_ood_up_b = _expected(bounds, X_OO_D, mode, ledger, "x_oo_d upper (y01)", upper=True)
     mu_b, nu_b = b.mu, b.nu
     y01 = (
         mu_b
@@ -170,9 +245,9 @@ def estimate_singles_yields(
         )
     )
 
-    x_nu_o = _chernoff(counts.x[("nu", "o")], eps, mode, ledger, "x[nu,o] lower (y10)")
-    x_mu_ohat = _chernoff(counts.x[("mu", "ohat")], eps, mode, ledger, "x[mu,ohat] upper (y10)", upper=True)
-    x_ood_up_a = _chernoff(counts.x_oo_d, eps, mode, ledger, "x_oo_d upper (y10)", upper=True)
+    x_nu_o = _expected(bounds, ("nu", "o"), mode, ledger, "x[nu,o] lower (y10)")
+    x_mu_ohat = _expected(bounds, ("mu", "ohat"), mode, ledger, "x[mu,ohat] upper (y10)", upper=True)
+    x_ood_up_a = _expected(bounds, X_OO_D, mode, ledger, "x_oo_d upper (y10)", upper=True)
     mu_a, nu_a = a.mu, a.nu
     y10 = (
         mu_a
@@ -212,7 +287,7 @@ def estimate_s11_z(
     if x_max <= 0.0:
         raise InfeasibleDecoyError("empty Z-basis matching pools")
     s11_z_star = z01 * z10 / x_max
-    return _chernoff(s11_z_star, params.eps, mode, ledger, "s11_z observed lower", observed=True)
+    return _observed(s11_z_star, params.eps, mode, ledger, "s11_z observed lower")
 
 
 def estimate_s0mub_z(
@@ -222,12 +297,15 @@ def estimate_s0mub_z(
     params: SystemParams,
     mode: str = MODE_FINITE,
     ledger: ChernoffLedger | None = None,
+    expected_bounds: dict | None = None,
 ) -> float:
     """Observed lower bound on Z-basis pairs where the first user's two bins
     both collapsed to vacuum while the second user's pair intensity is mu.
 
     All ingredients are rescalings of the declared-vacuum rows; a zero bound
     is a legitimate outcome (it only removes an additive credit).
+    expected_bounds reuses a pipeline's expected_count_bounds; a standalone
+    call converts the two counts it reads.
     """
     _check_mode(mode)
     p_ood = declare_vacuum_probability(a, b)
@@ -236,9 +314,12 @@ def estimate_s0mub_z(
     if a.p_o <= 0.0:
         raise MissingDeclareVacuumError("s0mub rescaling needs nonzero declared-vacuum probability")
     eps = params.eps
+    bounds = expected_bounds
+    if bounds is None:
+        bounds = expected_count_bounds(counts, eps, mode, (X_OO_D, ("ohat", "mu")))
 
-    x_ood_low = _chernoff(counts.x_oo_d, eps, mode, ledger, "x_oo_d lower (s0mub)")
-    x_ohat_mu_low = _chernoff(counts.x[("ohat", "mu")], eps, mode, ledger, "x[ohat,mu] lower (s0mub)")
+    x_ood_low = _expected(bounds, X_OO_D, mode, ledger, "x_oo_d lower (s0mub)")
+    x_ohat_mu_low = _expected(bounds, ("ohat", "mu"), mode, ledger, "x[ohat,mu] lower (s0mub)")
 
     x_o_mu = a.p_o * x_ohat_mu_low / a.p_ohat
     x_o_o = a.p_o * b.p_o * x_ood_low / p_ood
@@ -248,7 +329,7 @@ def estimate_s0mub_z(
     if x_max <= 0.0:
         raise InfeasibleDecoyError("empty Z-basis matching pools")
     s0mub_star = (x_o_mu * z00 + x_o_o * z0mub) / x_max
-    return _chernoff(s0mub_star, eps, mode, ledger, "s0mub_z observed lower", observed=True)
+    return _observed(s0mub_star, eps, mode, ledger, "s0mub_z observed lower")
 
 
 def _inverse_gain_integral(a: SourceSetting, b: SourceSetting, geom: LinkGeometry, params: SystemParams) -> float:
@@ -305,7 +386,7 @@ def estimate_s11_x(
         / math.pi
         * inverse_gain_integral
     )
-    return _chernoff(s11_x_star, params.eps, mode, ledger, "s11_x observed lower", observed=True)
+    return _observed(s11_x_star, params.eps, mode, ledger, "s11_x observed lower")
 
 
 def estimate_e11_x(
@@ -342,8 +423,9 @@ def estimate_e11_x(
         raise MissingDeclareVacuumError("vacuum error compensation needs declared-vacuum events")
     eps = params.eps
     if x_ood_expected_bounds is None:
-        x_ood_low = _chernoff(counts.x_oo_d, eps, mode, ledger, "x_oo_d lower (e11)")
-        x_ood_up = _chernoff(counts.x_oo_d, eps, mode, ledger, "x_oo_d upper (e11)", upper=True)
+        bounds = expected_count_bounds(counts, eps, mode, (X_OO_D,))
+        x_ood_low = _expected(bounds, X_OO_D, mode, ledger, "x_oo_d lower (e11)")
+        x_ood_up = _expected(bounds, X_OO_D, mode, ledger, "x_oo_d upper (e11)", upper=True)
     else:
         x_ood_low, x_ood_up = x_ood_expected_bounds
     q00_low = x_ood_low / (params.N * p_ood)
@@ -355,8 +437,8 @@ def estimate_e11_x(
         inverse_gain_integral = _inverse_gain_integral(a, b, geom, params)
     n00_star = pref * math.exp(-2.0 * (a.nu + b.nu)) * q00_up * q00_up * inverse_gain_integral
 
-    m_vac = _chernoff(n_vac_star / 2.0, eps, mode, ledger, "m_vac observed lower", observed=True)
-    m00 = _chernoff(n00_star / 2.0, eps, mode, ledger, "m00 observed upper", observed=True, upper=True)
+    m_vac = _observed(n_vac_star / 2.0, eps, mode, ledger, "m_vac observed lower")
+    m00 = _observed(n00_star / 2.0, eps, mode, ledger, "m00 observed upper", upper=True)
 
     t11 = max(counts.m_x - m_vac + m00, 0.0)
     if s11_x_lower is None:
@@ -430,38 +512,55 @@ def key_length(
     )
 
 
-def evaluate_counts(
+def _slice_free_half(
+    counts: ObservedCounts,
+    a: SourceSetting,
+    b: SourceSetting,
+    params: SystemParams,
+    mode: str,
+) -> SliceFreeEstimates:
+    """The estimates that read only the pair counts, the Z-basis pools and
+    the delta-free params, with each of the five expected-side counts
+    converted once."""
+    ledger = ChernoffLedger()
+    bounds = expected_count_bounds(counts, params.eps, mode)
+    yields = estimate_singles_yields(counts, a, b, params, mode=mode, ledger=ledger, expected_bounds=bounds)
+    s11_z = estimate_s11_z(counts, a, b, params, mode=mode, ledger=ledger, yields=yields)
+    s0mub = estimate_s0mub_z(counts, a, b, params, mode=mode, ledger=ledger, expected_bounds=bounds)
+    return SliceFreeEstimates(
+        y01_lower=yields[0],
+        y10_lower=yields[1],
+        s11_z_lower=s11_z,
+        s0mub_z_lower=s0mub,
+        x_oo_d_bounds=bounds[X_OO_D],
+        charges=tuple(ledger.entries),
+        budget=compose_epsilons(params.eps),
+    )
+
+
+def _slice_half(
     counts: ObservedCounts,
     a: SourceSetting,
     b: SourceSetting,
     geom: LinkGeometry,
     params: SystemParams,
-    mode: str = MODE_FINITE,
+    mode: str,
+    free: SliceFreeEstimates,
+    link: tuple[SourceSetting, SourceSetting, LinkGeometry, SystemParams] | None,
 ) -> LinkEvaluation:
-    """Run the decoy chain and the key length on one set of counts.
-
-    counts may be expected (observed_statistics) or simulated
-    (MonteCarloTally.observed_counts, with params.N the simulated rounds).
-    Raises InfeasibleDecoyError when the yield bounds collapse; callers that
-    scan or optimize treat that as a zero-rate point.
-    """
-    _check_mode(mode)
-    ledger = ChernoffLedger()
-    yields = estimate_singles_yields(counts, a, b, params, mode=mode, ledger=ledger)
-    s11_z = estimate_s11_z(counts, a, b, params, mode=mode, ledger=ledger, yields=yields)
-    s0mub = estimate_s0mub_z(counts, a, b, params, mode=mode, ledger=ledger)
+    """The X-basis steps and the key length, given free, the slice-free
+    half of these counts; counts carries the X-basis totals of params'
+    slice."""
+    ledger = ChernoffLedger(list(free.charges))
+    yields = (free.y01_lower, free.y10_lower)
     # one integral of 1/q^theta serves both X-basis steps
     inverse_gain = _inverse_gain_integral(a, b, geom, params)
     s11_x = estimate_s11_x(
         counts, a, b, geom, params, mode=mode, ledger=ledger, yields=yields,
         inverse_gain_integral=inverse_gain,
     )
-    # reuse of the declared-vacuum conversions charged during the yield and
-    # s0mub steps; recomputed here without new budget charges
-    if mode == MODE_ASYMPTOTIC:
-        x_ood_bounds = (counts.x_oo_d, counts.x_oo_d)
-    else:
-        x_ood_bounds = chernoff_expected_bounds(counts.x_oo_d, params.eps)
+    # the declared-vacuum bounds charged during the yield and s0mub steps,
+    # reused without new budget charges
     t11, e11 = estimate_e11_x(
         counts,
         a,
@@ -471,28 +570,50 @@ def evaluate_counts(
         mode=mode,
         ledger=ledger,
         s11_x_lower=s11_x,
-        x_ood_expected_bounds=x_ood_bounds,
+        x_ood_expected_bounds=free.x_oo_d_bounds,
         inverse_gain_integral=inverse_gain,
     )
     dec = DecoyEstimates(
-        y01_lower=yields[0],
-        y10_lower=yields[1],
-        s0mub_z_lower=s0mub,
-        s11_z_lower=s11_z,
+        y01_lower=free.y01_lower,
+        y10_lower=free.y10_lower,
+        s0mub_z_lower=free.s0mub_z_lower,
+        s11_z_lower=free.s11_z_lower,
         s11_x_lower=s11_x,
         t11_x_upper=t11,
         e11_x_upper=e11,
-        phi11_z_upper=_phi11_z_upper(s11_z, s11_x, e11, params.eps, mode),
+        phi11_z_upper=_phi11_z_upper(free.s11_z_lower, s11_x, e11, params.eps, mode),
     )
-    budget = compose_epsilons(params.eps)
     return LinkEvaluation(
-        result=key_length(counts, dec, budget, params, mode),
+        result=key_length(counts, dec, free.budget, params, mode),
         decoy=dec,
         counts=counts,
-        budget=budget,
+        budget=free.budget,
         chernoff_applications=tuple(ledger.entries),
         mode=mode,
+        slice_free=free,
+        link=link,
     )
+
+
+def evaluate_counts(
+    counts: ObservedCounts,
+    a: SourceSetting,
+    b: SourceSetting,
+    geom: LinkGeometry,
+    params: SystemParams,
+    mode: str = MODE_FINITE,
+) -> LinkEvaluation:
+    """Run the decoy chain, both halves, and the key length on one set of
+    counts.
+
+    counts may be expected (observed_statistics) or simulated
+    (MonteCarloTally.observed_counts, with params.N the simulated rounds).
+    Raises InfeasibleDecoyError when the yield bounds collapse; callers that
+    scan or optimize treat that as a zero-rate point.
+    """
+    _check_mode(mode)
+    free = _slice_free_half(counts, a, b, params, mode)
+    return _slice_half(counts, a, b, geom, params, mode, free, None)
 
 
 def evaluate_link(
@@ -501,6 +622,26 @@ def evaluate_link(
     geom: LinkGeometry,
     params: SystemParams,
     mode: str = MODE_FINITE,
+    reuse: LinkEvaluation | None = None,
 ) -> LinkEvaluation:
-    """The expected counts of one link orientation through evaluate_counts."""
-    return evaluate_counts(observed_statistics(a, b, geom, params), a, b, geom, params, mode)
+    """The expected counts of one link orientation through the decoy chain.
+
+    reuse is an earlier evaluation of the same a, b, geom and mode whose
+    params differ at most in delta.  Its pair counts, Z-basis totals and
+    slice-free half then stand in for this call's, and only x_basis_counts
+    and the slice half run: the result equals the plain call's, field by
+    field.  Any other reuse raises ValueError.
+    """
+    link = (a, b, geom, params)
+    if reuse is None:
+        counts = observed_statistics(a, b, geom, params)
+        return _slice_half(counts, a, b, geom, params, mode, _slice_free_half(counts, a, b, params, mode), link)
+    if reuse.link is None or reuse.mode != mode:
+        raise ValueError(f"reuse must be an evaluate_link result in {mode} mode")
+    ra, rb, rgeom, rparams = reuse.link
+    # the earlier params with this delta, compared field by field
+    if (ra, rb, rgeom) != (a, b, geom) or vars(rparams) | {"delta": params.delta} != vars(params):
+        raise ValueError("reuse was evaluated for other settings, geometry or params than delta")
+    n_x, m_x = x_basis_counts(a, b, geom, params)
+    counts = replace(reuse.counts, n_x=n_x, m_x=m_x)
+    return _slice_half(counts, a, b, geom, params, mode, reuse.slice_free, link)

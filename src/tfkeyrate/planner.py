@@ -87,6 +87,7 @@ def _safe_rate(
     geom: LinkGeometry,
     params: SystemParams,
     mode: str,
+    reuse: LinkEvaluation | None = None,
 ) -> tuple[float, LinkEvaluation | None]:
     """Rate with decoy-infeasible points mapped to zero.
 
@@ -94,7 +95,7 @@ def _safe_rate(
     settings, a missing vacuum class, a bug) propagates to the caller.
     """
     try:
-        ev = evaluate_link(a, b, geom, params, mode=mode)
+        ev = evaluate_link(a, b, geom, params, mode=mode, reuse=reuse)
     except InfeasibleDecoyError:
         return 0.0, None
     return ev.result.rate, ev
@@ -235,24 +236,29 @@ def polish_delta(
 
     Evaluates an integer-degree grid, then a bounded scalar minimization
     around the grid optimum, and returns the best point seen with the
-    evaluation made there and the number of evaluations.  Pure function of
-    its arguments, so re-polishing frozen settings reproduces the
-    optimization result exactly.
+    evaluation made there and the number of evaluations.  Only the slice
+    width changes, so the first feasible evaluation is reused by every
+    later one, which then runs only the slice half of the chain.  Pure
+    function of its arguments, so re-polishing frozen settings reproduces
+    the optimization result exactly.
     """
     # imported where it runs, so commands that never optimize skip its import cost
     from scipy.optimize import minimize_scalar
 
     evals = 0
     tried: dict[float, tuple[float, LinkEvaluation | None]] = {}
+    reuse: LinkEvaluation | None = None
 
     def rate_at(delta: float) -> float:
-        nonlocal evals
+        nonlocal evals, reuse
         evals += 1
         # the scalar search passes numpy floats; the same value as a float
         # keeps every returned number a plain float
         delta = float(delta)
-        tried[delta] = _safe_rate(a, b, geom, replace(params, delta=delta), mode)
-        return tried[delta][0]
+        rate, ev = tried[delta] = _safe_rate(a, b, geom, replace(params, delta=delta), mode, reuse)
+        if reuse is None:
+            reuse = ev
+        return rate
 
     candidates = [(rate_at(d), d) for d in _DELTA_GRID]
     best_rate, best_delta = max(candidates, key=lambda c: (c[0], -c[1]))

@@ -6,10 +6,20 @@ acceptance tests all pin against the same numbers.
 """
 
 import math
+import os
 
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.stats import poisson
 
 from tfkeyrate.channel_model import LinkGeometry, SourceSetting, SystemParams
+
+# property tests draw the same examples on every run, keep no example
+# database on disk and are not timed per example; the constants Hypothesis
+# caches from the source files go to pytest's own (ignored) cache directory
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+set_hypothesis_home_dir(os.path.join(os.path.dirname(__file__), os.pardir, ".pytest_cache", "hypothesis"))
 
 DEG = math.pi / 180.0
 

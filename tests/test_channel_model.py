@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import time
 
 import numpy as np
@@ -61,6 +62,20 @@ def test_system_params_validation():
         _params(delta_deg=0.0)
     with pytest.raises(ValueError):
         _params(delta_deg=91.0)
+
+
+def test_system_params_reject_values_the_arithmetic_cannot_hold():
+    # eps^2 and N^2 must stay normal floats: below/above these a finite-key
+    # run met a NaN entropy, a division by zero or an infinite count
+    tiny, huge = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+    for eps in (1e-160, 1e-200, tiny * 0.5):
+        with pytest.raises(ValueError, match="eps must be at least"):
+            dataclasses.replace(_params(), eps=eps)
+    for n_pulses in (1e160, huge * 1.5):
+        with pytest.raises(ValueError, match="round count N must be at most"):
+            _params(n_pulses=n_pulses)
+    assert dataclasses.replace(_params(), eps=tiny).eps == tiny
+    assert _params(n_pulses=huge).N == huge
 
 
 _NAN, _INF = float("nan"), float("inf")

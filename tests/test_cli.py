@@ -326,6 +326,45 @@ def test_keyrate_evaluates_no_link_beyond_the_polish(tmp_path, monkeypatch):
     assert len(calls) == polish_evals[0]
 
 
+def _a_c_rate(tmp_path, system, extra=()):
+    doc = json.loads(open(_shipped("link_a_c.json"), encoding="utf-8").read())
+    doc["system"].update(system)
+    out = tmp_path / "report.json"
+    assert main(["keyrate", "--config", _write(tmp_path, doc), "--out", str(out), *extra]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))["results"]["rate"]
+
+
+@pytest.mark.parametrize("system", [{"eps": 0.025}, {"n_pulses": 1e30}])
+def test_keyrate_where_gamma_needs_no_correction(tmp_path, system):
+    # the random-sampling log argument falls below 1 here, where gamma is 0;
+    # the parent exited 1 with a math domain error
+    rate = _a_c_rate(tmp_path, system)
+    asymptotic = _a_c_rate(tmp_path, system, ["--asymptotic"])
+    assert math.isfinite(rate) and 0.0 < rate <= asymptotic
+
+
+def test_keyrate_rate_rises_with_eps_up_to_asymptotic(tmp_path):
+    rates = [_a_c_rate(tmp_path, {"eps": eps}) for eps in (0.02, 0.1, 0.9)]
+    assert rates[0] < rates[1] < rates[2] <= _a_c_rate(tmp_path, {}, ["--asymptotic"])
+    assert _a_c_rate(tmp_path, {"n_pulses": 1e100}) == _a_c_rate(tmp_path, {}, ["--asymptotic"])
+
+
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        ("eps", 1e-160, "eps must be at least"),
+        ("eps", 1e-200, "eps must be at least"),
+        ("n_pulses", 1e160, "round count N must be at most"),
+    ],
+)
+def test_system_values_the_arithmetic_cannot_hold_exit_2(tmp_path, capsys, field, value, needle):
+    # before, a NaN entropy, a division by zero and an infinite count
+    # ended these runs with a traceback
+    doc = json.loads(open(_shipped("link_a_c.json"), encoding="utf-8").read())
+    doc["system"][field] = value
+    _exits_2_quickly(tmp_path, capsys, "keyrate", doc, needle)
+
+
 def test_two_runs_in_one_process_give_identical_reports(capsys):
     # the argument parser is built once per process and shared by every
     # run; a flag given to one run must not carry over to the next

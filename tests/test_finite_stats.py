@@ -152,6 +152,20 @@ def test_gamma_monotone_in_counts():
         assert all(b <= a for a, b in zip(values, values[1:]))
 
 
+def test_gamma_is_zero_where_the_prefactor_already_meets_eps():
+    # log argument total / (2 pi n k lam (1-lam) eps^2) <= 1: the closed form
+    # would take the log or the square root of a negative number
+    assert random_sampling_gamma(1e6, 1e6, 0.02, 0.5) == 0.0  # large eps
+    assert random_sampling_gamma(1e30, 1e30, 0.02, 1.5e-10) == 0.0  # huge populations
+    n, k, lam = 1e6, 2e6, 0.05
+    threshold = math.sqrt((n + k) / (2.0 * math.pi * n * k * lam * (1.0 - lam)))
+    assert random_sampling_gamma(n, k, lam, threshold * 1.001) == 0.0
+    # continuous at the boundary: just inside it gamma is small and positive
+    inside = random_sampling_gamma(n, k, lam, threshold * 0.999)
+    assert 0.0 < inside < 1e-3
+    assert inside == pytest.approx(_gamma_reference(n, k, lam, threshold * 0.999), rel=1e-12)
+
+
 def test_gamma_rejects_bad_domains():
     with pytest.raises(ValueError):
         random_sampling_gamma(0.0, 1e6, 0.02, 1e-10)

@@ -4,6 +4,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DEG, TP_SETTINGS_SIGMA5, reference_params
 from tfkeyrate import channel_model, finite_stats, keyrate_engine
@@ -28,9 +30,11 @@ from tfkeyrate.keyrate_engine import (
     estimate_s11_x,
     estimate_s11_z,
     estimate_singles_yields,
+    evaluate_counts,
     evaluate_link,
     key_length,
 )
+from tfkeyrate.planner import _DELTA_GRID
 
 _SOURCE_A = SourceSetting(0.45, 0.10, 0.30, 0.25, 0.40, 0.05)
 _SOURCE_B = SourceSetting(0.40, 0.08, 0.28, 0.22, 0.44, 0.06)
@@ -348,3 +352,130 @@ def test_role_swap_changes_the_rate():
     backward = evaluate_link(d, c, geom.swapped(), params).result.rate
     assert forward > 0.0 and backward > 0.0
     assert abs(forward - backward) / forward > 0.01
+
+
+# The ledger's 13 charges in the order the chain makes them.
+_CHARGES = (
+    "x[o,nu] lower (y01)",
+    "x[ohat,mu] upper (y01)",
+    "x_oo_d upper (y01)",
+    "x[nu,o] lower (y10)",
+    "x[mu,ohat] upper (y10)",
+    "x_oo_d upper (y10)",
+    "s11_z observed lower",
+    "x_oo_d lower (s0mub)",
+    "x[ohat,mu] lower (s0mub)",
+    "s0mub_z observed lower",
+    "s11_x observed lower",
+    "m_vac observed lower",
+    "m00 observed upper",
+)
+
+
+def _count_conversions(monkeypatch):
+    calls = {"expected": 0, "observed": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        keyrate_engine, "chernoff_expected_bounds", counted("expected", finite_stats.chernoff_expected_bounds)
+    )
+    monkeypatch.setattr(
+        keyrate_engine, "chernoff_observed_bounds", counted("observed", finite_stats.chernoff_observed_bounds)
+    )
+    return calls
+
+
+def test_evaluate_link_converts_each_count_once(monkeypatch):
+    # x_oo_d backs four charges and x[ohat,mu] two, yet each of the five
+    # expected-side counts is converted once; the charges stay as they were
+    params = _params()
+    geom = LinkGeometry(120.0, 200.0)
+    plain = evaluate_link(_SOURCE_A, _SOURCE_B, geom, params)
+    calls = _count_conversions(monkeypatch)
+    ev = evaluate_link(_SOURCE_A, _SOURCE_B, geom, params)
+    assert calls == {"expected": 5, "observed": 5}
+    assert ev == plain
+    assert ev.chernoff_applications == _CHARGES
+    # a reused evaluation converts only the slice half's three counts
+    calls.update(expected=0, observed=0)
+    wider = evaluate_link(_SOURCE_A, _SOURCE_B, geom, dataclasses.replace(params, delta=9.0 * DEG), reuse=ev)
+    assert calls == {"expected": 0, "observed": 3}
+    assert wider.chernoff_applications == _CHARGES
+
+
+def _setting(draw):
+    mu = draw(st.floats(0.05, 1.0))
+    nu = mu * draw(st.floats(0.02, 0.6))
+    weights = [draw(st.floats(0.002, 1.0)) for _ in range(4)]
+    p_mu, p_nu, p_ohat = (w / sum(weights) for w in weights[:3])
+    return SourceSetting(mu, nu, p_mu, p_nu, 1.0 - p_mu - p_nu - p_ohat, p_ohat)
+
+
+@st.composite
+def _links(draw):
+    a, b = _setting(draw), _setting(draw)
+    geom = LinkGeometry(draw(st.floats(0.0, 150.0)), draw(st.floats(0.0, 150.0)))
+    params = SystemParams(
+        eta_d=draw(st.floats(0.3, 1.0)),
+        p_d=10.0 ** draw(st.floats(-10.0, -5.0)),
+        alpha=0.165,
+        e_d_z=draw(st.floats(0.0, 0.05)),
+        f=1.1,
+        N=10.0 ** draw(st.floats(8.0, 14.0)),
+        sigma=draw(st.floats(0.0, 40.0)) * DEG,
+        delta=draw(st.floats(0.1, 25.0)) * DEG,
+        eps=10.0 ** draw(st.floats(-15.0, -3.0)),
+    )
+    return a, b, geom, params, draw(st.sampled_from((MODE_FINITE, MODE_ASYMPTOTIC)))
+
+
+def _outcome(*args, **kwargs):
+    try:
+        return evaluate_link(*args, **kwargs)
+    except (InfeasibleDecoyError, MissingDeclareVacuumError, ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=100)
+@given(_links())
+def test_reused_evaluation_equals_the_plain_one(link):
+    a, b, geom, params, mode = link
+    first = _outcome(a, b, geom, params, mode)
+    if isinstance(first, type):
+        return  # nothing to reuse: every width is evaluated in full
+    for delta in _DELTA_GRID:
+        at = dataclasses.replace(params, delta=delta)
+        assert _outcome(a, b, geom, at, mode, reuse=first) == _outcome(a, b, geom, at, mode)
+
+
+def test_reuse_of_other_inputs_raises():
+    params = _params()
+    geom = LinkGeometry(120.0, 200.0)
+    ev = evaluate_link(_SOURCE_A, _SOURCE_B, geom, params)
+    wider = dataclasses.replace(params, delta=9.0 * DEG)
+    assert evaluate_link(_SOURCE_A, _SOURCE_B, geom, wider, reuse=ev) == evaluate_link(
+        _SOURCE_A, _SOURCE_B, geom, wider
+    )
+    assert evaluate_link(_SOURCE_A, _SOURCE_B, geom, params, reuse=ev) == ev
+    others = [
+        (_SOURCE_B, _SOURCE_B, geom, wider, MODE_FINITE),
+        (_SOURCE_A, _SOURCE_A, geom, wider, MODE_FINITE),
+        (_SOURCE_A, _SOURCE_B, geom.swapped(), wider, MODE_FINITE),
+        (_SOURCE_A, _SOURCE_B, geom, wider, MODE_ASYMPTOTIC),
+        (_SOURCE_A, _SOURCE_B, geom, _params(n_pulses=1e12, delta_deg=9.0), MODE_FINITE),
+        (_SOURCE_A, _SOURCE_B, geom, _params(sigma_deg=6.0, delta_deg=9.0), MODE_FINITE),
+        (_SOURCE_A, _SOURCE_B, geom, dataclasses.replace(wider, eps=1e-9), MODE_FINITE),
+    ]
+    for a, b, g, p, mode in others:
+        with pytest.raises(ValueError, match="reuse"):
+            evaluate_link(a, b, g, p, mode, reuse=ev)
+    # counts given to evaluate_counts, say a simulated tally, are not a link's
+    counted = evaluate_counts(ev.counts, _SOURCE_A, _SOURCE_B, geom, params)
+    with pytest.raises(ValueError, match="reuse"):
+        evaluate_link(_SOURCE_A, _SOURCE_B, geom, wider, reuse=counted)

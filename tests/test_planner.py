@@ -82,6 +82,26 @@ def test_polish_counts_its_evaluations_and_makes_none_after_its_search(monkeypat
     assert rate == evaluation.result.rate > 0.0
 
 
+def test_polish_forms_the_pair_counts_once(monkeypatch):
+    # only the slice width changes, so every width after the first feasible
+    # one reuses its pair counts, Z totals and slice-free bounds
+    from tfkeyrate import channel_model
+
+    calls = []
+    expected_pair_counts = channel_model.expected_pair_counts
+
+    def counted(*args):
+        calls.append(args)
+        return expected_pair_counts(*args)
+
+    monkeypatch.setattr(channel_model, "expected_pair_counts", counted)
+    a, b, geom, params = _reference_link()
+    _, _, evaluation, n_evals = polish_delta(a, b, geom, params)
+    assert len(calls) == 1
+    assert n_evals == 24
+    assert evaluation.link[:3] == (a, b, geom)
+
+
 def test_polish_delta_reaches_reference_link_rate():
     a, b, geom, params = _reference_link()
     polished, rate, evaluation, n_evals = polish_delta(a, b, geom, params)
