@@ -23,9 +23,10 @@ INTENSITY_LABELS = ("mu", "nu", "o", "ohat")
 
 _PROB_SUM_TOL = 1e-9
 
-# eps squared and N squared must stay normal floats: the random-sampling
-# correction divides by eps^2, and s11_z multiplies two counts of order N
-_EPS_MIN = math.sqrt(sys.float_info.min)
+# eps, nu and N squared must stay normal floats: the random-sampling
+# correction divides by eps^2, the yield bounds divide by mu nu - nu^2, and
+# s11_z multiplies two counts of order N
+_SQRT_FLOAT_MIN = math.sqrt(sys.float_info.min)
 _N_MAX = math.sqrt(sys.float_info.max)
 
 # Index of each intensity label into (mu, nu, 0): both vacuum classes send
@@ -35,7 +36,15 @@ _INTENSITY_INDEX = (0, 1, 2, 2)
 
 class InfeasibleDecoyError(RuntimeError):
     """A decoy bound collapsed to zero or below, or no Z-basis pair was
-    formed; the link yields no key."""
+    formed; the link yields no key.
+
+    slice_free is True when the failing step reads nothing of the phase
+    slice, so the link fails alike at every slice width.
+    """
+
+    def __init__(self, message: str, *, slice_free: bool = False) -> None:
+        super().__init__(message)
+        self.slice_free = slice_free
 
 
 class MissingDeclareVacuumError(ValueError):
@@ -59,6 +68,10 @@ class SourceSetting:
             raise ValueError(f"source settings must be finite, got {values}")
         if not self.mu > self.nu > 0.0:
             raise ValueError(f"intensities must satisfy mu > nu > 0, got mu={self.mu}, nu={self.nu}")
+        if self.nu < _SQRT_FLOAT_MIN:
+            raise ValueError(f"nu must be at least sqrt(float min) = {_SQRT_FLOAT_MIN:.4g}, got {self.nu}")
+        if not self.mu * self.nu > self.nu * self.nu:
+            raise ValueError(f"mu must exceed nu by more than rounding, got mu={self.mu}, nu={self.nu}")
         probs = (self.p_mu, self.p_nu, self.p_o, self.p_ohat)
         if any(p < 0.0 for p in probs):
             raise ValueError(f"send probabilities must be nonnegative, got {probs}")
@@ -127,8 +140,8 @@ class SystemParams:
             raise ValueError(f"delta must be in (0, pi/2], got {self.delta}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must be in (0, 1), got {self.eps}")
-        if self.eps < _EPS_MIN:
-            raise ValueError(f"eps must be at least sqrt(float min) = {_EPS_MIN:.4g}, got {self.eps}")
+        if self.eps < _SQRT_FLOAT_MIN:
+            raise ValueError(f"eps must be at least sqrt(float min) = {_SQRT_FLOAT_MIN:.4g}, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -328,7 +341,7 @@ def z_basis_counts(counts: ObservedCounts, params: SystemParams) -> tuple[float,
     row_mu = counts.x[("mu", "o")] + counts.x[("mu", "mu")]
     x_min = min(row_o, row_mu)
     if x_min <= 0.0:
-        raise InfeasibleDecoyError("empty Z-basis matching pool; no post-matched pairs")
+        raise InfeasibleDecoyError("empty Z-basis matching pool; no post-matched pairs", slice_free=True)
     n_c = x_min * (counts.x[("o", "mu")] / row_o) * (counts.x[("mu", "o")] / row_mu)
     n_e = x_min * (counts.x[("o", "o")] / row_o) * (counts.x[("mu", "mu")] / row_mu)
     n_z = n_c + n_e
@@ -353,6 +366,7 @@ def x_basis_counts(
     geom: LinkGeometry,
     params: SystemParams,
     form: str = "first_principles",
+    slice_terms: tuple[float, float, float, float] | None = None,
 ) -> tuple[float, float]:
     """Phase-sliced X-basis totals (n_x, m_x) in event units.
 
@@ -369,10 +383,15 @@ def x_basis_counts(
       comparison.  It is algebraically the first-principles form with the
       numerator (1 - y e^{w c})(1 - y e^{-w c}) replaced by (1-y)^2, which
       makes it negative everywhere; the result is clamped at zero.
+
+    slice_terms lets a caller pass the _slice_terms of these settings that
+    it computed for its own slice integral; a standalone call computes them.
     """
     if form not in ("first_principles", "paper_closed_form"):
         raise ValueError(f"unknown X error form: {form!r}")
-    y, omega, gap, dark = _slice_terms(a, b, geom, params)
+    if slice_terms is None:
+        slice_terms = _slice_terms(a, b, geom, params)
+    y, omega, gap, dark = slice_terms
     prefactor = params.N * a.p_nu * b.p_nu / math.pi
 
     def total_integrand(theta: float) -> float:
@@ -441,14 +460,16 @@ def observed_statistics(
     b: SourceSetting,
     geom: LinkGeometry,
     params: SystemParams,
+    slice_terms: tuple[float, float, float, float] | None = None,
 ) -> ObservedCounts:
     """Fully populated ObservedCounts: pair counts plus Z and X totals.
 
     Settings without both vacuum classes raise MissingDeclareVacuumError
-    before any count is formed.
+    before any count is formed.  slice_terms is passed on to
+    x_basis_counts.
     """
     check_vacuum_classes(a, b)
     counts = expected_pair_counts(a, b, geom, params)
     n_z, m_z, n_c, n_e, e_z = z_basis_counts(counts, params)
-    n_x, m_x = x_basis_counts(a, b, geom, params)
+    n_x, m_x = x_basis_counts(a, b, geom, params, slice_terms=slice_terms)
     return replace(counts, n_z=n_z, m_z=m_z, n_C_z=n_c, n_E_z=n_e, E_z=e_z, n_x=n_x, m_x=m_x)

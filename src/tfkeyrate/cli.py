@@ -705,7 +705,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for the montecarlo shards only (default: TFKEYRATE_THREADS or 1)")
+                       help="upper bound on the worker threads for the montecarlo shards only; "
+                       "runs with few candidate rounds per shard stay serial, since their threads "
+                       "would contend for the interpreter lock (default: TFKEYRATE_THREADS or 1)")
         p.add_argument("--asymptotic", action="store_true",
                        help="asymptotic mode (keyrate and network)")
     return parser

@@ -24,6 +24,13 @@ Determinism: rounds are partitioned into fixed-size shards, each driven by a
 counter-based Philox stream keyed by (seed, shard index); the two matching
 passes use dedicated streams.  Tallies are therefore bit-exact functions of
 (seed, configuration) regardless of thread count.
+
+Threads: simulate_rounds builds the per-class constants once per run and
+shares them with every shard.  The thread count is an upper bound: a run
+uses a thread pool only when a shard expects at least POOL_MIN_CANDIDATES
+candidate rounds.  On a long link a shard holds a few hundred candidates,
+its fixed numpy calls dominate and hold the interpreter lock, and threads
+would only contend for it, so such runs stay serial.
 """
 
 from __future__ import annotations
@@ -47,6 +54,18 @@ from .channel_model import (
 
 SHARD_ROUNDS = 1_000_000
 
+# Expected candidate rounds per shard from which a run's shards go to the
+# thread pool; below it they run serially.  A shard costs its candidates
+# plus a fixed ~40 small numpy calls, which hold the interpreter lock, so
+# threads only pay once the candidates dominate.  simulate_rounds of 1e7
+# rounds (10 shards) at threads=2 on the montecarlo_toy link with both arms
+# lengthened, median ms of 7 runs (15 from 2.9k to 6.2k), 2 vCPU:
+#
+#   candidates/shard     67   438  1.4k  2.9k  3.5k  4.2k  5.1k  6.2k   13k   28k  116k
+#   serial              6.3   8.5  12.9  27.0  34.5  32.3  37.6  45.8  80.8   140   667
+#   pool               16.1  16.6  20.1  41.8  44.7  37.0  35.5  38.6  54.8  87.6   357
+POOL_MIN_CANDIDATES = 4_500
+
 # Philox stream ids: shard index for round generation, plus two reserved
 # streams for the Z and X matching passes
 _Z_MATCH_STREAM = 1 << 62
@@ -56,11 +75,16 @@ _X_MATCH_STREAM = (1 << 62) + 1
 # pair _CLASS_LABELS[4 i + j]
 _MU, _NU, _O, _OHAT = 0, 1, 2, 3
 _CLASS_LABELS = tuple(itertools.product(INTENSITY_LABELS, repeat=2))
+# the classes of the single-photon ground truth
+_O_MU, _MU_O = 4 * _O + _MU, 4 * _MU + _O
 
 # Flag patterns of a round that can click: bit 0 at least one photon
 # arrives, bit 1 a left dark count, bit 2 a right dark count.
 _PATTERNS = np.arange(1, 8)
 _N_PATTERNS = _PATTERNS.shape[0]
+_ARRIVAL = (_PATTERNS & 1) != 0
+_DARK_L = (_PATTERNS & 2) != 0
+_DARK_R = (_PATTERNS & 4) != 0
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -151,21 +175,43 @@ _COUNT_FIELDS = (
 )
 
 
-def _simulate_shard(
-    a: SourceSetting,
-    b: SourceSetting,
-    geom: LinkGeometry,
-    params: SystemParams,
-    n: int,
-    seed: int,
-    shard_index: int,
-) -> MonteCarloTally:
-    rng = _stream(seed, shard_index)
+@dataclass(frozen=True, eq=False)
+class _RunConstants:
+    """The settings of one run and the per-class constants every shard
+    reads; class 4 i + j has intensity codes (i, j).
+
+    Built once per run and shared read-only by the shards.  The expected
+    candidate rounds per shard decide whether the run is worth a thread
+    pool.
+    """
+
+    a: SourceSetting
+    b: SourceSetting
+    geom: LinkGeometry
+    params: SystemParams
+    # send probabilities of the 16 classes, normalized: they may miss 1 by
+    # the validation tolerance
+    class_probs: np.ndarray
+    # per class, the chances of the 7 flag patterns of a candidate round
+    # and, last column, of a silent round
+    pattern_probs: np.ndarray
+    mean_total: np.ndarray
+    lost_a: np.ndarray
+    lost_b: np.ndarray
+    share_a: np.ndarray
+    visibility: np.ndarray
+    # chance that a silent (o, mu) round held one photon of the second
+    # user, and a silent (mu, o) round one of the first
+    silent_single_probs: np.ndarray
+    candidates_per_shard: float
+
+
+def _run_constants(
+    a: SourceSetting, b: SourceSetting, geom: LinkGeometry, params: SystemParams
+) -> _RunConstants:
     eta_a, eta_b = geom.transmittances(params)
     p_d = params.p_d
-    two_pi = 2.0 * math.pi
 
-    # per-class constants; class 4 i + j has intensity codes (i, j)
     probs_a = np.array([a.p_mu, a.p_nu, a.p_o, a.p_ohat])
     probs_b = np.array([b.p_mu, b.p_nu, b.p_o, b.p_ohat])
     k_a = np.repeat([a.mu, a.nu, 0.0, 0.0], 4)
@@ -173,34 +219,50 @@ def _simulate_shard(
     arrive_a = eta_a * k_a
     arrive_b = eta_b * k_b
     mean_total = arrive_a + arrive_b
-    lost_a = (1.0 - eta_a) * k_a
-    lost_b = (1.0 - eta_b) * k_b
     lit = mean_total > 0.0
-    share_a = np.divide(arrive_a, mean_total, out=np.zeros(16), where=lit)
-    visibility = np.divide(np.sqrt(arrive_a * arrive_b), mean_total, out=np.zeros(16), where=lit)
-
-    # fixed draw order: class counts, flag patterns, candidate order,
-    # arrivals, photon tags, phases, bits, detector split, silent singles.
-    # Send probabilities may miss 1 by the validation tolerance.
     class_probs = np.outer(probs_a, probs_b).ravel()
-    class_counts = rng.multinomial(n, class_probs / class_probs.sum())
+    class_probs = class_probs / class_probs.sum()
 
     # Each round independently has an arrival (prob 1 - e^-M, whatever the
     # phase), a left dark count and a right dark count (prob p_d each).  The
     # counts of the 8 flag patterns per class are therefore multinomial;
-    # silent rounds (none of the three, last column) never click and get no
-    # further draws.
+    # silent rounds (none of the three) never click.
     none = np.exp(-mean_total)[:, None]
-    arrival = (_PATTERNS & 1) != 0
-    dark_l = (_PATTERNS & 2) != 0
-    dark_r = (_PATTERNS & 4) != 0
     pattern_probs = (
-        np.where(arrival, -np.expm1(-mean_total)[:, None], none)
-        * np.where(dark_l, p_d, 1.0 - p_d)
-        * np.where(dark_r, p_d, 1.0 - p_d)
+        np.where(_ARRIVAL, -np.expm1(-mean_total)[:, None], none)
+        * np.where(_DARK_L, p_d, 1.0 - p_d)
+        * np.where(_DARK_R, p_d, 1.0 - p_d)
     )
     silent_probs = none * (1.0 - p_d) ** 2
-    pattern_counts = rng.multinomial(class_counts, np.hstack([pattern_probs, silent_probs]))
+    lost_a = (1.0 - eta_a) * k_a
+    lost_b = (1.0 - eta_b) * k_b
+    lam = np.array([lost_b[_O_MU], lost_a[_MU_O]])
+    return _RunConstants(
+        a=a,
+        b=b,
+        geom=geom,
+        params=params,
+        class_probs=class_probs,
+        pattern_probs=np.hstack([pattern_probs, silent_probs]),
+        mean_total=mean_total,
+        lost_a=lost_a,
+        lost_b=lost_b,
+        share_a=np.divide(arrive_a, mean_total, out=np.zeros(16), where=lit),
+        visibility=np.divide(np.sqrt(arrive_a * arrive_b), mean_total, out=np.zeros(16), where=lit),
+        silent_single_probs=lam * np.exp(-lam),
+        candidates_per_shard=SHARD_ROUNDS * float(class_probs @ pattern_probs.sum(axis=1)),
+    )
+
+
+def _simulate_shard(run: _RunConstants, n: int, seed: int, shard_index: int) -> MonteCarloTally:
+    rng = _stream(seed, shard_index)
+    params = run.params
+    two_pi = 2.0 * math.pi
+
+    # fixed draw order: class counts, flag patterns, candidate order,
+    # arrivals, photon tags, phases, bits, detector split, silent singles
+    class_counts = rng.multinomial(n, run.class_probs)
+    pattern_counts = rng.multinomial(class_counts, run.pattern_probs)
     silent = pattern_counts[:, -1]
 
     # Candidates in random order: X matching pairs retained events in
@@ -209,22 +271,22 @@ def _simulate_shard(
     rng.shuffle(code)
     cls, pat = np.divmod(code, _N_PATTERNS)
     ia, ib = np.divmod(cls, 4)
-    arrival, dark_l, dark_r = arrival[pat], dark_l[pat], dark_r[pat]
+    arrival, dark_l, dark_r = _ARRIVAL[pat], _DARK_L[pat], _DARK_R[pat]
     c = code.shape[0]
 
     # Zero-truncated Poisson(M) arrivals: the first arrival time T of a
     # rate-M Poisson process on [0, 1] conditioned on T < 1, by inverting its
     # distribution function, then Poisson(M (1 - T)) more.  M (1 - T) is
     # clamped at 0 against rounding.
-    m = mean_total[cls[arrival]]
+    m = run.mean_total[cls[arrival]]
     remaining = np.maximum(m + np.log1p(rng.random(m.shape[0]) * np.expm1(-m)), 0.0)
     arrived = np.zeros(c, dtype=np.int64)
     arrived[arrival] = 1 + rng.poisson(remaining)
 
     # Poisson splitting: arrivals per arm, plus photons lost on the way
-    surv_a = rng.binomial(arrived, share_a[cls])
-    n_a = surv_a + rng.poisson(lost_a[cls])
-    n_b = arrived - surv_a + rng.poisson(lost_b[cls])
+    surv_a = rng.binomial(arrived, run.share_a[cls])
+    n_a = surv_a + rng.poisson(run.lost_a[cls])
+    n_b = arrived - surv_a + rng.poisson(run.lost_b[cls])
 
     # theta_a - theta_b + phi_ab is uniform on [0, 2 pi): one draw suffices
     theta = rng.random(c) * two_pi
@@ -232,7 +294,7 @@ def _simulate_shard(
     r_b = rng.integers(0, 2, size=c, dtype=np.int8)
     # encoded bits shift the relative phase by pi each
     sign = 1.0 - 2.0 * np.logical_xor(r_a, r_b)
-    p_left = np.clip(0.5 + sign * visibility[cls] * np.cos(theta), 0.0, 1.0)
+    p_left = np.clip(0.5 + sign * run.visibility[cls] * np.cos(theta), 0.0, 1.0)
     arr_left = rng.binomial(arrived, p_left)
 
     click_left = (arr_left > 0) | dark_l
@@ -257,11 +319,9 @@ def _simulate_shard(
 
     # Single-photon ground truth counts every round of the class.  A silent
     # round's photons were all lost, so its tag is Poisson((1 - eta) k).
-    o_mu, mu_o = 4 * _O + _MU, 4 * _MU + _O
-    o_mu_single = (cls == o_mu) & (n_b == 1)
-    mu_o_single = (cls == mu_o) & (n_a == 1)
-    lam = np.array([lost_b[o_mu], lost_a[mu_o]])
-    silent_single = rng.binomial(silent[[o_mu, mu_o]], lam * np.exp(-lam))
+    o_mu_single = (cls == _O_MU) & (n_b == 1)
+    mu_o_single = (cls == _MU_O) & (n_a == 1)
+    silent_single = rng.binomial(silent[[_O_MU, _MU_O]], run.silent_single_probs)
 
     cap = np.iinfo(np.uint8).max
     return MonteCarloTally(
@@ -308,6 +368,8 @@ def simulate_rounds(
 ) -> MonteCarloTally:
     """Simulate n_rounds protocol rounds and collect the event pools.
 
+    The shards run on up to resolve_threads(threads) threads, and serially
+    when a shard expects fewer than POOL_MIN_CANDIDATES candidate rounds.
     The returned tally has not been matched yet; run post_match_z and
     post_match_x (or use oracle_tally) for the pair-level numbers.
     """
@@ -317,18 +379,14 @@ def simulate_rounds(
     shard_sizes = [
         min(SHARD_ROUNDS, n_rounds - start) for start in range(0, n_rounds, SHARD_ROUNDS)
     ]
-    workers = resolve_threads(threads)
-
-    def run(idx_size: tuple[int, int]) -> MonteCarloTally:
-        idx, size = idx_size
-        return _simulate_shard(a, b, geom, params, size, seed, idx)
-
+    run = _run_constants(a, b, geom, params)
     jobs = list(enumerate(shard_sizes))
-    if workers == 1 or len(jobs) == 1:
-        shards = [run(j) for j in jobs]
+    workers = min(resolve_threads(threads), len(jobs))
+    if workers == 1 or run.candidates_per_shard < POOL_MIN_CANDIDATES:
+        shards = [_simulate_shard(run, size, seed, idx) for idx, size in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(run, jobs))
+            shards = list(pool.map(lambda job: _simulate_shard(run, job[1], seed, job[0]), jobs))
 
     pools = {name: np.concatenate([getattr(s, name) for s in shards]) for name in _POOL_FIELDS}
     counts = {name: sum(getattr(s, name) for s in shards) for name in _COUNT_FIELDS}

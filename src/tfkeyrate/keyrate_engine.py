@@ -262,7 +262,8 @@ def estimate_singles_yields(
     if y01 <= 0.0 or y10 <= 0.0:
         raise InfeasibleDecoyError(
             f"single-photon yield bounds collapsed (y01={y01:.3e}, y10={y10:.3e}); "
-            "vacuum and dark counts dominate the decoy rows"
+            "vacuum and dark counts dominate the decoy rows",
+            slice_free=True,
         )
     return y01, y10
 
@@ -285,7 +286,7 @@ def estimate_s11_z(
     z01 = params.N * a.p_o * b.p_mu * b.mu * math.exp(-b.mu) * y01_lower
     _, x_max = z_pool_sizes(counts)
     if x_max <= 0.0:
-        raise InfeasibleDecoyError("empty Z-basis matching pools")
+        raise InfeasibleDecoyError("empty Z-basis matching pools", slice_free=True)
     s11_z_star = z01 * z10 / x_max
     return _observed(s11_z_star, params.eps, mode, ledger, "s11_z observed lower")
 
@@ -327,14 +328,23 @@ def estimate_s0mub_z(
     z0mub = a.p_mu * math.exp(-a.mu) * x_o_mu / a.p_o
     _, x_max = z_pool_sizes(counts)
     if x_max <= 0.0:
-        raise InfeasibleDecoyError("empty Z-basis matching pools")
+        raise InfeasibleDecoyError("empty Z-basis matching pools", slice_free=True)
     s0mub_star = (x_o_mu * z00 + x_o_o * z0mub) / x_max
     return _observed(s0mub_star, eps, mode, ledger, "s0mub_z observed lower")
 
 
-def _inverse_gain_integral(a: SourceSetting, b: SourceSetting, geom: LinkGeometry, params: SystemParams) -> float:
-    """Integral of 1/q^theta over the slice for the decoy-intensity pair."""
-    y, omega, gap, dark = _slice_terms(a, b, geom, params)
+def _inverse_gain_integral(
+    a: SourceSetting,
+    b: SourceSetting,
+    geom: LinkGeometry,
+    params: SystemParams,
+    slice_terms: tuple[float, float, float, float] | None = None,
+) -> float:
+    """Integral of 1/q^theta over the slice for the decoy-intensity pair;
+    slice_terms passes the pair's _slice_terms if the caller has them."""
+    if slice_terms is None:
+        slice_terms = _slice_terms(a, b, geom, params)
+    y, omega, gap, dark = slice_terms
 
     def integrand(theta: float) -> float:
         c = omega * math.cos(theta)
@@ -487,7 +497,7 @@ def key_length(
     if counts.n_z is None or counts.E_z is None:
         raise ValueError("Z-basis totals missing; populate counts via z_basis_counts first")
     if counts.n_z <= 0.0:
-        raise InfeasibleDecoyError("key length undefined without Z-basis pairs")
+        raise InfeasibleDecoyError("key length undefined without Z-basis pairs", slice_free=True)
     vacuum_term = dec.s0mub_z_lower
     single_term = dec.s11_z_lower * (1.0 - binary_entropy(dec.phi11_z_upper))
     ec_term = counts.n_z * params.f * binary_entropy(counts.E_z)
@@ -547,14 +557,16 @@ def _slice_half(
     mode: str,
     free: SliceFreeEstimates,
     link: tuple[SourceSetting, SourceSetting, LinkGeometry, SystemParams] | None,
+    slice_terms: tuple[float, float, float, float] | None = None,
 ) -> LinkEvaluation:
     """The X-basis steps and the key length, given free, the slice-free
     half of these counts; counts carries the X-basis totals of params'
-    slice."""
+    slice, and slice_terms the _slice_terms they were computed from, if
+    the caller computed any."""
     ledger = ChernoffLedger(list(free.charges))
     yields = (free.y01_lower, free.y10_lower)
     # one integral of 1/q^theta serves both X-basis steps
-    inverse_gain = _inverse_gain_integral(a, b, geom, params)
+    inverse_gain = _inverse_gain_integral(a, b, geom, params, slice_terms)
     s11_x = estimate_s11_x(
         counts, a, b, geom, params, mode=mode, ledger=ledger, yields=yields,
         inverse_gain_integral=inverse_gain,
@@ -633,15 +645,18 @@ def evaluate_link(
     field.  Any other reuse raises ValueError.
     """
     link = (a, b, geom, params)
+    # the slice terms serve both the X-basis totals and the integral of 1/q
+    terms = _slice_terms(a, b, geom, params)
     if reuse is None:
-        counts = observed_statistics(a, b, geom, params)
-        return _slice_half(counts, a, b, geom, params, mode, _slice_free_half(counts, a, b, params, mode), link)
+        counts = observed_statistics(a, b, geom, params, slice_terms=terms)
+        free = _slice_free_half(counts, a, b, params, mode)
+        return _slice_half(counts, a, b, geom, params, mode, free, link, terms)
     if reuse.link is None or reuse.mode != mode:
         raise ValueError(f"reuse must be an evaluate_link result in {mode} mode")
     ra, rb, rgeom, rparams = reuse.link
     # the earlier params with this delta, compared field by field
     if (ra, rb, rgeom) != (a, b, geom) or vars(rparams) | {"delta": params.delta} != vars(params):
         raise ValueError("reuse was evaluated for other settings, geometry or params than delta")
-    n_x, m_x = x_basis_counts(a, b, geom, params)
+    n_x, m_x = x_basis_counts(a, b, geom, params, slice_terms=terms)
     counts = replace(reuse.counts, n_x=n_x, m_x=m_x)
-    return _slice_half(counts, a, b, geom, params, mode, reuse.slice_free, link)
+    return _slice_half(counts, a, b, geom, params, mode, reuse.slice_free, link, terms)

@@ -238,9 +238,11 @@ def polish_delta(
     around the grid optimum, and returns the best point seen with the
     evaluation made there and the number of evaluations.  Only the slice
     width changes, so the first feasible evaluation is reused by every
-    later one, which then runs only the slice half of the chain.  Pure
-    function of its arguments, so re-polishing frozen settings reproduces
-    the optimization result exactly.
+    later one, which then runs only the slice half of the chain; and once
+    a step that reads no slice has failed, every later width is rate 0
+    without an evaluation.  Pure function of its arguments, so
+    re-polishing frozen settings reproduces the optimization result
+    exactly.
     """
     # imported where it runs, so commands that never optimize skip its import cost
     from scipy.optimize import minimize_scalar
@@ -248,16 +250,25 @@ def polish_delta(
     evals = 0
     tried: dict[float, tuple[float, LinkEvaluation | None]] = {}
     reuse: LinkEvaluation | None = None
+    every_width_fails = False
 
     def rate_at(delta: float) -> float:
-        nonlocal evals, reuse
-        evals += 1
+        nonlocal evals, reuse, every_width_fails
         # the scalar search passes numpy floats; the same value as a float
         # keeps every returned number a plain float
         delta = float(delta)
-        rate, ev = tried[delta] = _safe_rate(a, b, geom, replace(params, delta=delta), mode, reuse)
-        if reuse is None:
-            reuse = ev
+        rate, ev = 0.0, None
+        if not every_width_fails:
+            evals += 1
+            try:
+                ev = evaluate_link(a, b, geom, replace(params, delta=delta), mode=mode, reuse=reuse)
+            except InfeasibleDecoyError as exc:
+                every_width_fails = exc.slice_free
+            else:
+                rate = ev.result.rate
+                if reuse is None:
+                    reuse = ev
+        tried[delta] = (rate, ev)
         return rate
 
     candidates = [(rate_at(d), d) for d in _DELTA_GRID]

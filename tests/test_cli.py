@@ -365,6 +365,22 @@ def test_system_values_the_arithmetic_cannot_hold_exit_2(tmp_path, capsys, field
     _exits_2_quickly(tmp_path, capsys, "keyrate", doc, needle)
 
 
+@pytest.mark.parametrize(
+    "intensities, needle",
+    [
+        ({"nu": 5e-324}, "nu must be at least sqrt(float min)"),
+        ({"mu": math.nextafter(0.1, 1.0), "nu": 0.1}, "mu must exceed nu by more than rounding"),
+    ],
+    ids=["subnormal-nu", "mu-within-rounding-of-nu"],
+)
+def test_decoy_intensities_the_yield_bounds_cannot_divide_by_exit_2(tmp_path, capsys, intensities, needle):
+    # mu nu - nu^2 rounded to 0 here, and the yield step ended the run with
+    # a ZeroDivisionError traceback
+    doc = json.loads(open(_shipped("link_a_c.json"), encoding="utf-8").read())
+    doc["nodes"][0]["source"].update(intensities)
+    _exits_2_quickly(tmp_path, capsys, "keyrate", doc, needle)
+
+
 def test_two_runs_in_one_process_give_identical_reports(capsys):
     # the argument parser is built once per process and shared by every
     # run; a flag given to one run must not carry over to the next

@@ -4,12 +4,21 @@ import dataclasses
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.stats import binom, levene, poisson, ttest_ind
 
-from conftest import mc_asymmetric_config, mc_symmetric_config, mc_toy_config, within_three_se
+from conftest import (
+    TP_SETTINGS_SIGMA5,
+    mc_asymmetric_config,
+    mc_symmetric_config,
+    mc_toy_config,
+    oriented_pair,
+    reference_params,
+    within_three_se,
+)
 from tfkeyrate import event_simulator
 from tfkeyrate.channel_model import (
     ObservedCounts,
@@ -23,6 +32,7 @@ from tfkeyrate.event_simulator import (
     _MU,
     _NU,
     _O,
+    _POOL_FIELDS,
     MonteCarloTally,
     _stream,
     compare_with_analytics,
@@ -43,9 +53,10 @@ from tfkeyrate.keyrate_engine import (
 )
 
 
-def _dense_shard(a, b, geom, params, n, seed, shard_index):
+def _dense_shard(run, n, seed, shard_index):
     """Reference shard: every round draws its intensities, phases, bits,
     photon numbers, loss, detector split and dark counts."""
+    a, b, geom, params = run.a, run.b, run.geom, run.params
     rng = _stream(seed, shard_index)
     eta_a, eta_b = geom.transmittances(params)
     two_pi = 2.0 * math.pi
@@ -221,6 +232,57 @@ def test_thread_count_does_not_change_the_tally():
     serial = oracle_tally(a, b, geom, params, n_rounds=1_200_000, seed=5, threads=1)
     threaded = oracle_tally(a, b, geom, params, n_rounds=1_200_000, seed=5, threads=3)
     assert serial.summary() == threaded.summary()
+
+
+def _a_c_config():
+    """The paper's A-C link, about 194 candidate rounds per shard."""
+    _, _, a, b, geom = oriented_pair("A", "C", TP_SETTINGS_SIGMA5)
+    return a, b, geom, reference_params(1e11)
+
+
+def _record_pools(monkeypatch):
+    """The keyword arguments of every thread pool simulate_rounds builds."""
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(kwargs)
+        return ThreadPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(event_simulator, "ThreadPoolExecutor", recorded)
+    return built
+
+
+@pytest.mark.parametrize(
+    "config, n_rounds", [(_a_c_config, 3_000_001), (mc_toy_config, 2_500_000)], ids=["a_c", "toy"]
+)
+def test_serial_and_pooled_shards_give_identical_tallies(monkeypatch, config, n_rounds):
+    a, b, geom, params = config()
+    built = _record_pools(monkeypatch)
+    tallies = []
+    for crossover in (math.inf, 0):
+        monkeypatch.setattr(event_simulator, "POOL_MIN_CANDIDATES", crossover)
+        tallies.append(oracle_tally(a, b, geom, params, n_rounds, seed=11, threads=2))
+    assert built == [{"max_workers": 2}]
+    serial, pooled = tallies
+    assert serial.summary() == pooled.summary()
+    assert sum(serial.clicks.values()) > 0
+    for name in _POOL_FIELDS:
+        x, y = getattr(serial, name), getattr(pooled, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def test_only_event_dense_runs_use_the_thread_pool(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("an event-sparse run built a thread pool")
+
+    monkeypatch.setattr(event_simulator, "ThreadPoolExecutor", refused)
+    a, b, geom, params = _a_c_config()
+    assert oracle_tally(a, b, geom, params, 3_000_000, seed=5, threads=2).n_rounds == 3_000_000
+
+    built = _record_pools(monkeypatch)
+    a, b, geom, params = mc_toy_config()
+    oracle_tally(a, b, geom, params, 3_000_000, seed=5, threads=2)
+    assert built == [{"max_workers": 2}]
 
 
 def test_vacuum_only_sources_without_darks_never_click():

@@ -200,6 +200,44 @@ def test_one_link_evaluation_runs_three_slice_integrals(monkeypatch):
         assert spans == [(params.sigma, params.sigma + params.delta)] * 3
 
 
+def test_one_evaluation_forms_the_slice_terms_once(monkeypatch):
+    # the X-basis totals and the integral of 1/q share one set of slice terms
+    calls = []
+    original = channel_model._slice_terms
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (channel_model, keyrate_engine):
+        monkeypatch.setattr(module, "_slice_terms", counted)
+    params = _params()
+    geom = LinkGeometry(120.0, 200.0)
+    for mode in (MODE_FINITE, MODE_ASYMPTOTIC):
+        calls.clear()
+        full = evaluate_link(_SOURCE_A, _SOURCE_B, geom, params, mode=mode)
+        assert len(calls) == 1
+        calls.clear()
+        wider = dataclasses.replace(params, delta=9.0 * DEG)
+        evaluate_link(_SOURCE_A, _SOURCE_B, geom, wider, mode=mode, reuse=full)
+        assert len(calls) == 1
+        calls.clear()
+        evaluate_counts(full.counts, _SOURCE_A, _SOURCE_B, geom, params, mode=mode)
+        assert len(calls) == 1
+
+
+def test_only_failures_that_read_no_slice_are_slice_free():
+    starved = SourceSetting(0.40, 0.001, 0.28, 0.02, 0.64, 0.06)
+    with pytest.raises(InfeasibleDecoyError) as collapsed:
+        evaluate_link(_SOURCE_A, starved, LinkGeometry(150.0, 150.0), _params(n_pulses=1e9))
+    assert collapsed.value.slice_free
+    no_signal = SourceSetting(0.45, 0.10, 0.0, 0.55, 0.40, 0.05)  # never sends mu
+    with pytest.raises(InfeasibleDecoyError, match="empty Z-basis") as empty:
+        evaluate_link(no_signal, _SOURCE_B, LinkGeometry(150.0, 150.0), _params())
+    assert empty.value.slice_free
+    assert not InfeasibleDecoyError("X-basis per-phase gain vanished").slice_free
+
+
 def test_phi_upper_bound_behavior():
     params = _params()
     base = DecoyEstimates(

@@ -18,6 +18,7 @@ from conftest import (
 from tfkeyrate import planner
 from tfkeyrate.channel_model import LinkGeometry
 from tfkeyrate.diagnostics import plob_bound
+from tfkeyrate.keyrate_engine import InfeasibleDecoyError, evaluate_link
 from tfkeyrate.planner import (
     ChannelShape,
     NetworkNode,
@@ -100,6 +101,30 @@ def test_polish_forms_the_pair_counts_once(monkeypatch):
     assert len(calls) == 1
     assert n_evals == 24
     assert evaluation.link[:3] == (a, b, geom)
+
+
+def test_polish_of_a_link_failing_before_the_slice_forms_the_pair_counts_once(monkeypatch):
+    # the yield bounds read no slice width: once they collapse, every later
+    # width is rate 0 without forming the pair counts again
+    from tfkeyrate import channel_model
+
+    calls = []
+    expected_pair_counts = channel_model.expected_pair_counts
+
+    def counted(*args):
+        calls.append(args)
+        return expected_pair_counts(*args)
+
+    monkeypatch.setattr(channel_model, "expected_pair_counts", counted)
+    a, b, _, params = _reference_link()
+    geom = LinkGeometry(250.0, 350.0)
+    polished, rate, evaluation, n_evals = polish_delta(a, b, geom, params)
+    assert len(calls) == 1
+    assert (rate, evaluation, n_evals) == (0.0, None, 1)
+    # all widths tie at rate 0, where the smallest grid width wins
+    assert polished == replace(params, delta=planner._DELTA_GRID[0])
+    with pytest.raises(InfeasibleDecoyError, match="yield bounds collapsed"):
+        evaluate_link(a, b, geom, polished)
 
 
 def test_polish_delta_reaches_reference_link_rate():
