@@ -28,6 +28,9 @@ _PROB_SUM_TOL = 1e-9
 # s11_z multiplies two counts of order N
 _SQRT_FLOAT_MIN = math.sqrt(sys.float_info.min)
 _N_MAX = math.sqrt(sys.float_info.max)
+# exp(x) leaves the float range near x = 709.8 and I0(x) near 714.  The gain
+# series takes omega <= sqrt(k_a k_b) and the yield bounds exp(mu), so x and mu <= 700.
+_X_MAX = 700.0
 
 # Index of each intensity label into (mu, nu, 0): both vacuum classes send
 # intensity 0, so 9 distinct gains fill the 16 intensity pairs.
@@ -68,6 +71,8 @@ class SourceSetting:
             raise ValueError(f"source settings must be finite, got {values}")
         if not self.mu > self.nu > 0.0:
             raise ValueError(f"intensities must satisfy mu > nu > 0, got mu={self.mu}, nu={self.nu}")
+        if self.mu > _X_MAX:
+            raise ValueError(f"mu = {self.mu} exceeds {_X_MAX:g}; the model cannot evaluate larger intensities")
         if self.nu < _SQRT_FLOAT_MIN:
             raise ValueError(f"nu must be at least sqrt(float min) = {_SQRT_FLOAT_MIN:.4g}, got {self.nu}")
         if not self.mu * self.nu > self.nu * self.nu:
@@ -238,12 +243,12 @@ def _i0_minus_one(x: float) -> float:
     """I0(x) - 1 for x >= 0 by the power series sum_k>=1 (x^2/4)^k / (k!)^2.
 
     Every term is positive, so there is no cancellation at small x, and the
-    sum stays within 1e-12 relative of I0(x) - 1 up to x = 700.  I0 leaves
-    the float range near x = 714; past it the sum is inf, and once a term
-    overflows the loop never stops, so x > 700 raises.
+    sum stays within 1e-12 relative of I0(x) - 1 up to x = 700.  Past the
+    float range the sum is inf, and once a term overflows the loop never
+    stops, so x > _X_MAX raises.
     """
-    if not x <= 700.0:
-        raise OverflowError(f"I0(x) - 1 is evaluated for x <= 700, got {x}")
+    if not x <= _X_MAX:
+        raise OverflowError(f"I0(x) - 1 is evaluated for x <= {_X_MAX:g}, got {x}")
     term = 1.0
     total = 0.0
     quarter_sq = 0.25 * x * x
@@ -335,7 +340,7 @@ def z_basis_counts(counts: ObservedCounts, params: SystemParams) -> tuple[float,
     lands in the opposite bin and an error when it lands in the same bin.
     The smaller pool limits the number of pairs; an empty pool (nothing
     can click, or a row never sent) forms none and raises
-    InfeasibleDecoyError.
+    InfeasibleDecoyError, as does a second user who never sends mu.
     """
     row_o = counts.x[("o", "o")] + counts.x[("o", "mu")]
     row_mu = counts.x[("mu", "o")] + counts.x[("mu", "mu")]
@@ -345,6 +350,8 @@ def z_basis_counts(counts: ObservedCounts, params: SystemParams) -> tuple[float,
     n_c = x_min * (counts.x[("o", "mu")] / row_o) * (counts.x[("mu", "o")] / row_mu)
     n_e = x_min * (counts.x[("o", "o")] / row_o) * (counts.x[("mu", "mu")] / row_mu)
     n_z = n_c + n_e
+    if n_z <= 0.0:
+        raise InfeasibleDecoyError("no Z-basis pair can form; every matched pair is discarded", slice_free=True)
     m_z = (1.0 - params.e_d_z) * n_e + params.e_d_z * n_c
     return n_z, m_z, n_c, n_e, m_z / n_z
 

@@ -179,12 +179,10 @@ def _parse_node(obj: Any, index: int) -> NetworkNode:
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{where}.name: expected a non-empty string")
+    distance_km = _number(obj, where, "distance_km")
+    setting = _parse_source(obj["source"], f"{where}.source")
     try:
-        return NetworkNode(
-            name=name,
-            distance_km=_number(obj, where, "distance_km"),
-            setting=_parse_source(obj["source"], f"{where}.source"),
-        )
+        return NetworkNode(name=name, distance_km=distance_km, setting=setting)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -706,8 +704,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
                        help="upper bound on the worker threads for the montecarlo shards only; "
-                       "runs with few candidate rounds per shard stay serial, since their threads "
-                       "would contend for the interpreter lock (default: TFKEYRATE_THREADS or 1)")
+                       "shards are sized by their expected candidate rounds, and threads pay from "
+                       "the second shard on (default: TFKEYRATE_THREADS or 1)")
         p.add_argument("--asymptotic", action="store_true",
                        help="asymptotic mode (keyrate and network)")
     return parser

@@ -20,17 +20,17 @@ Every result is one frozen MonteCarloTally: each shard returns the tally of
 its own rounds, simulate_rounds merges them, and the Z and X matching passes
 return a new tally with their fields set, leaving their argument unchanged.
 
-Determinism: rounds are partitioned into fixed-size shards, each driven by a
+Determinism: rounds are partitioned into shards, each driven by a
 counter-based Philox stream keyed by (seed, shard index); the two matching
-passes use dedicated streams.  Tallies are therefore bit-exact functions of
-(seed, configuration) regardless of thread count.
+passes use dedicated streams.  Shard sizes depend on the configuration and
+the round count alone, so tallies are bit-exact functions of (seed,
+configuration, rounds) regardless of thread count.
 
-Threads: simulate_rounds builds the per-class constants once per run and
-shares them with every shard.  The thread count is an upper bound: a run
-uses a thread pool only when a shard expects at least POOL_MIN_CANDIDATES
-candidate rounds.  On a long link a shard holds a few hundred candidates,
-its fixed numpy calls dominate and hold the interpreter lock, and threads
-would only contend for it, so such runs stay serial.
+Threads: a shard costs its candidate rounds plus ~40 fixed numpy calls that
+hold the interpreter lock, so shards double from SHARD_ROUNDS rounds until
+one expects TARGET_CANDIDATES candidates or covers the run.  The thread
+count is an upper bound: one shard runs serially, and from the second shard
+on the shards, which share the per-class constants, go to a thread pool.
 """
 
 from __future__ import annotations
@@ -54,17 +54,11 @@ from .channel_model import (
 
 SHARD_ROUNDS = 1_000_000
 
-# Expected candidate rounds per shard from which a run's shards go to the
-# thread pool; below it they run serially.  A shard costs its candidates
-# plus a fixed ~40 small numpy calls, which hold the interpreter lock, so
-# threads only pay once the candidates dominate.  simulate_rounds of 1e7
-# rounds (10 shards) at threads=2 on the montecarlo_toy link with both arms
-# lengthened, median ms of 7 runs (15 from 2.9k to 6.2k), 2 vCPU:
-#
-#   candidates/shard     67   438  1.4k  2.9k  3.5k  4.2k  5.1k  6.2k   13k   28k  116k
-#   serial              6.3   8.5  12.9  27.0  34.5  32.3  37.6  45.8  80.8   140   667
-#   pool               16.1  16.6  20.1  41.8  44.7  37.0  35.5  38.6  54.8  87.6   357
-POOL_MIN_CANDIDATES = 4_500
+# Expected candidate rounds from which a shard stops doubling.  simulate_rounds
+# of 1e7 rounds in 10 shards at threads=2 on lengthened toy links (2 vCPU): the
+# thread pool beats serial shards from 6.2k candidates per shard up (28k: 140 ms
+# serial against 88 ms pooled), so at 20k every run of two shards or more uses it.
+TARGET_CANDIDATES = 20_000
 
 # Philox stream ids: shard index for round generation, plus two reserved
 # streams for the Z and X matching passes
@@ -181,8 +175,7 @@ class _RunConstants:
     reads; class 4 i + j has intensity codes (i, j).
 
     Built once per run and shared read-only by the shards.  The expected
-    candidate rounds per shard decide whether the run is worth a thread
-    pool.
+    candidate rounds per SHARD_ROUNDS rounds decide the shard size.
     """
 
     a: SourceSetting
@@ -368,21 +361,22 @@ def simulate_rounds(
 ) -> MonteCarloTally:
     """Simulate n_rounds protocol rounds and collect the event pools.
 
-    The shards run on up to resolve_threads(threads) threads, and serially
-    when a shard expects fewer than POOL_MIN_CANDIDATES candidate rounds.
-    The returned tally has not been matched yet; run post_match_z and
-    post_match_x (or use oracle_tally) for the pair-level numbers.
+    Shards hold SHARD_ROUNDS x 2^k rounds for the smallest k >= 0 at which
+    one expects TARGET_CANDIDATES candidates or covers all n_rounds; two or
+    more run on up to resolve_threads(threads) threads.  The returned tally
+    has not been matched yet; run post_match_z and post_match_x (or use
+    oracle_tally) for the pair-level numbers.
     """
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     n_rounds = int(n_rounds)
-    shard_sizes = [
-        min(SHARD_ROUNDS, n_rounds - start) for start in range(0, n_rounds, SHARD_ROUNDS)
-    ]
     run = _run_constants(a, b, geom, params)
-    jobs = list(enumerate(shard_sizes))
+    shard_rounds, candidates = SHARD_ROUNDS, run.candidates_per_shard
+    while shard_rounds < n_rounds and candidates < TARGET_CANDIDATES:
+        shard_rounds, candidates = 2 * shard_rounds, 2.0 * candidates
+    jobs = list(enumerate(min(shard_rounds, n_rounds - s) for s in range(0, n_rounds, shard_rounds)))
     workers = min(resolve_threads(threads), len(jobs))
-    if workers == 1 or run.candidates_per_shard < POOL_MIN_CANDIDATES:
+    if workers == 1:
         shards = [_simulate_shard(run, size, seed, idx) for idx, size in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

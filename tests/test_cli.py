@@ -220,6 +220,24 @@ def test_montecarlo_at_block_length_on_the_reference_link(tmp_path):
     assert bounds["ordering_ok"] is True
 
 
+def test_montecarlo_at_ten_times_block_length_runs_in_seconds(tmp_path):
+    # 1e10 A-C rounds fill 79 shards sized by their expected candidates
+    doc = json.loads(open(_shipped("link_a_c.json"), encoding="utf-8").read())
+    doc["montecarlo"] = {"rounds": 10_000_000_000, "seed": 20260814}
+    cfg = _write(tmp_path, doc)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"mc_{threads}.json"
+        start = time.perf_counter()
+        assert main(["montecarlo", "--config", cfg, "--out", str(out), "--threads", threads]) == 0
+        assert time.perf_counter() - start <= 3.0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    bounds = json.loads(reports[0])["results"]["decoy_bounds"]
+    assert bounds["feasible"] is True
+    assert bounds["ordering_ok"] is True
+
+
 @pytest.mark.parametrize(
     "command, field, literal",
     [
@@ -301,6 +319,23 @@ def test_link_where_nothing_clicks_is_infeasible(tmp_path, capsys):
     header, row = csv_out.read_text(encoding="utf-8").splitlines()
     assert header == CSV_NETWORK_HEADER
     assert float(row.split(",")[4]) == 0.0
+
+
+@pytest.mark.parametrize("command", ["keyrate", "montecarlo"])
+def test_second_user_who_never_sends_mu_is_infeasible(tmp_path, capsys, command):
+    # node A, the farther node, never sends mu: every matched Z pair has
+    # equal intensities and is discarded; the parent divided by n_z = 0
+    doc = json.loads(open(_shipped("link_a_c.json"), encoding="utf-8").read())
+    doc["montecarlo"] = {"rounds": 1_000_000, "seed": 1}
+    (source,) = [n["source"] for n in doc["nodes"] if n["name"] == "A"]
+    source["p_o"] += source["p_mu"]
+    source["p_mu"] = 0.0
+    out = tmp_path / "report.json"
+    assert main([command, "--config", _write(tmp_path, doc), "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "no Z-basis pair can form" in err
 
 
 def test_keyrate_evaluates_no_link_beyond_the_polish(tmp_path, monkeypatch):
@@ -398,6 +433,14 @@ def test_two_runs_in_one_process_give_identical_reports(capsys):
 def test_overflowing_intensity_exits_2(tmp_path, capsys, mu):
     doc = _two_node_doc(0.0, source={**_SOURCE, "mu": mu})
     _exits_2_quickly(tmp_path, capsys, "keyrate", doc, "cannot evaluate")
+
+
+@pytest.mark.parametrize("command", ["keyrate", "montecarlo"])
+def test_intensity_beyond_the_float_range_names_its_field(tmp_path, capsys, command):
+    doc = _two_node_doc(0.0)
+    doc["montecarlo"] = {"rounds": 1000, "seed": 1}
+    doc["nodes"][1]["source"]["mu"] = 2500.0
+    _exits_2_quickly(tmp_path, capsys, command, doc, "nodes[1].source: mu = 2500.0 exceeds 700")
 
 
 def test_scan_csv_and_meta_sidecar(tmp_path):

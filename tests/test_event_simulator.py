@@ -21,6 +21,7 @@ from conftest import (
 )
 from tfkeyrate import event_simulator
 from tfkeyrate.channel_model import (
+    LinkGeometry,
     ObservedCounts,
     SourceSetting,
     expected_pair_counts,
@@ -252,16 +253,17 @@ def _record_pools(monkeypatch):
     return built
 
 
+# A-C shards hold SHARD_ROUNDS x 2^7 rounds: two of them and one round more
+_A_C_ROUNDS = 2 * (event_simulator.SHARD_ROUNDS << 7) + 1
+
+
 @pytest.mark.parametrize(
-    "config, n_rounds", [(_a_c_config, 3_000_001), (mc_toy_config, 2_500_000)], ids=["a_c", "toy"]
+    "config, n_rounds", [(_a_c_config, _A_C_ROUNDS), (mc_toy_config, 2_500_000)], ids=["a_c", "toy"]
 )
 def test_serial_and_pooled_shards_give_identical_tallies(monkeypatch, config, n_rounds):
     a, b, geom, params = config()
     built = _record_pools(monkeypatch)
-    tallies = []
-    for crossover in (math.inf, 0):
-        monkeypatch.setattr(event_simulator, "POOL_MIN_CANDIDATES", crossover)
-        tallies.append(oracle_tally(a, b, geom, params, n_rounds, seed=11, threads=2))
+    tallies = [oracle_tally(a, b, geom, params, n_rounds, seed=11, threads=t) for t in (1, 2)]
     assert built == [{"max_workers": 2}]
     serial, pooled = tallies
     assert serial.summary() == pooled.summary()
@@ -269,6 +271,48 @@ def test_serial_and_pooled_shards_give_identical_tallies(monkeypatch, config, n_
     for name in _POOL_FIELDS:
         x, y = getattr(serial, name), getattr(pooled, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def _sized_shard_link():
+    """The symmetric Monte Carlo link on 99 km arms: a base shard expects
+    about 5,190 candidates, so sized shards hold 4 base shards."""
+    a, b, _, params = mc_symmetric_config()
+    return a, b, LinkGeometry(99.0, 99.0), params
+
+
+def test_sized_shards_match_base_size_shards_in_distribution(monkeypatch):
+    a, b, geom, params = _sized_shard_link()
+    candidates = event_simulator._run_constants(a, b, geom, params).candidates_per_shard
+    assert 2 * candidates < event_simulator.TARGET_CANDIDATES <= 4 * candidates
+    n_rounds = 2 * 4 * event_simulator.SHARD_ROUNDS + 1
+
+    def tallies(first_seed):
+        seeds = range(first_seed, first_seed + DIST_SEEDS)
+        return [oracle_tally(a, b, geom, params, n_rounds, seed) for seed in seeds]
+
+    sized = tallies(0)
+    with monkeypatch.context() as patch:
+        patch.setattr(event_simulator, "TARGET_CANDIDATES", 0)
+        base = tallies(1000)
+
+    sized_fields = [_count_fields(t) for t in sized]
+    base_fields = [_count_fields(t) for t in base]
+    for name in sized_fields[0]:
+        x = np.array([f[name] for f in sized_fields], dtype=float)
+        y = np.array([f[name] for f in base_fields], dtype=float)
+        if np.ptp(x) == 0.0 and np.ptp(y) == 0.0:
+            assert x[0] == y[0], name
+            continue
+        assert ttest_ind(x, y, equal_var=False).pvalue > DIST_P_MIN, f"{name} mean"
+        assert levene(x, y, center="median").pvalue > DIST_P_MIN, f"{name} variance"
+
+    for per_seed in zip(*(compare_with_analytics(t, a, b, geom, params) for t in sized)):
+        units = 2.0 if per_seed[0].name == "m_x" else 1.0
+        observed = sum(r.observed for r in per_seed) / units
+        expected = DIST_SEEDS * per_seed[0].expected / units
+        assert _poisson_two_sided(observed, expected) > DIST_P_MIN, (
+            f"{per_seed[0].name}: {observed} vs {expected:.6g}"
+        )
 
 
 def test_only_event_dense_runs_use_the_thread_pool(monkeypatch):
