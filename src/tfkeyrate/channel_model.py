@@ -372,30 +372,24 @@ def x_basis_counts(
     b: SourceSetting,
     geom: LinkGeometry,
     params: SystemParams,
-    form: str = "first_principles",
     slice_terms: tuple[float, float, float, float] | None = None,
 ) -> tuple[float, float]:
     """Phase-sliced X-basis totals (n_x, m_x) in event units.
 
     n_x integrates the per-phase gain q^theta = q_L + q_R over the slice
     [sigma, sigma+delta] with the 1/pi prefactor of the published count.
-    m_x depends on `form`:
-
-    * "first_principles": per-pair error probability p_E = 2 q_L q_R / q^2,
-      i.e. the matched clicks landed in detectors that disagree with the
-      phase bookkeeping; integrand 2 q_L q_R / q.  Nonnegative by
-      construction and the form validated by the Monte Carlo oracle.
-    * "paper_closed_form": the published closed-form integrand
-      2y [(1-y)^2/(e^{w c}+e^{-w c}-2y) - 1], kept selectable for
-      comparison.  It is algebraically the first-principles form with the
-      numerator (1 - y e^{w c})(1 - y e^{-w c}) replaced by (1-y)^2, which
-      makes it negative everywhere; the result is clamped at zero.
+    m_x integrates 2 q_L q_R / q, from the per-pair error probability
+    p_E = 2 q_L q_R / q^2: the matched clicks landed in detectors that
+    disagree with the phase bookkeeping.  It is nonnegative by construction
+    and the form validated by the Monte Carlo oracle.  The published
+    closed-form integrand 2y [(1-y)^2/(e^{w c}+e^{-w c}-2y) - 1] is this one
+    with the numerator (1 - y e^{w c})(1 - y e^{-w c}) replaced by (1-y)^2,
+    which makes it negative over the whole slice: clamped at zero, it gives
+    m_x = 0 for every geometry.
 
     slice_terms lets a caller pass the _slice_terms of these settings that
     it computed for its own slice integral; a standalone call computes them.
     """
-    if form not in ("first_principles", "paper_closed_form"):
-        raise ValueError(f"unknown X error form: {form!r}")
     if slice_terms is None:
         slice_terms = _slice_terms(a, b, geom, params)
     y, omega, gap, dark = slice_terms
@@ -407,46 +401,17 @@ def x_basis_counts(
 
     n_x = prefactor * _x_window_integral(total_integrand, params)
 
-    if form == "first_principles":
+    def error_integrand(theta: float) -> float:
+        c = omega * math.cos(theta)
+        q_l = y * (math.expm1(c) - gap + dark)
+        q_r = y * (math.expm1(-c) - gap + dark)
+        q = q_l + q_r
+        if q <= 0.0:
+            return 0.0
+        return 2.0 * q_l * q_r / q
 
-        def error_integrand(theta: float) -> float:
-            c = omega * math.cos(theta)
-            q_l = y * (math.expm1(c) - gap + dark)
-            q_r = y * (math.expm1(-c) - gap + dark)
-            q = q_l + q_r
-            if q <= 0.0:
-                return 0.0
-            return 2.0 * q_l * q_r / q
-
-        m_x = prefactor * _x_window_integral(error_integrand, params)
-    else:
-
-        def error_integrand(theta: float) -> float:
-            c = omega * math.cos(theta)
-            denom = math.exp(c) + math.exp(-c) - 2.0 * y
-            if denom <= 0.0:
-                return 0.0
-            return 2.0 * y * ((1.0 - y) ** 2 / denom - 1.0)
-
-        m_x = max(prefactor * _x_window_integral(error_integrand, params), 0.0)
-
+    m_x = prefactor * _x_window_integral(error_integrand, params)
     return n_x, m_x
-
-
-def aopp_x_error_count(
-    a: SourceSetting,
-    b: SourceSetting,
-    geom: LinkGeometry,
-    params: SystemParams,
-) -> float:
-    """X-basis error count of the rival pairing scheme, for comparison runs:
-    (2 N p_nu_a p_nu_b / pi) * integral of q_R over the slice."""
-    y, omega, gap, dark = _slice_terms(a, b, geom, params)
-
-    def integrand(theta: float) -> float:
-        return y * (math.expm1(-omega * math.cos(theta)) - gap + dark)
-
-    return 2.0 * params.N * a.p_nu * b.p_nu / math.pi * _x_window_integral(integrand, params)
 
 
 def single_photon_yields(geom: LinkGeometry, params: SystemParams) -> tuple[float, float]:

@@ -3,16 +3,20 @@
 Configs are JSON with units spelled out in the field names (distance_km,
 alpha_db_per_km, sigma_deg); angles are converted to radians exactly once,
 at ingestion.  Validation is strict: unknown fields anywhere in the
-document are rejected before any computation or output-file access.
+document are rejected before any computation or output-file access.  One
+field table per block, (reader, default) per field, drives both the
+validation and the resolved echo.  Seeds, in the config or from --seed,
+must lie in [0, 2**63), and montecarlo.rounds in [1, 2**63).
 
 Exit codes: 0 success (a zero rate is a valid answer), 2 configuration or
 validation error, or settings the model cannot evaluate (a declared or
 undeclared vacuum class that is never sent, intensities so large that the
 model overflows), 3 decoy estimation infeasible for the requested link.
 
-Every JSON output embeds the resolved configuration, the seed and the
-package version, so a run can be replayed from its own report.  CSV
-outputs carry the same metadata in a sidecar file (<out>.meta.json).
+Every JSON output embeds the resolved configuration (the validated
+document with every default filled in), the seed and the package version,
+so a run can be replayed from its own report.  CSV outputs carry the
+same metadata in a sidecar file (<out>.meta.json).
 Floats are rounded to 12 significant digits for cross-platform stability;
 all files are UTF-8 with LF line endings.
 """
@@ -24,7 +28,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 from . import __version__
@@ -87,109 +91,189 @@ def _round_floats(obj: Any) -> Any:
     return obj
 
 
-def _check_keys(obj: Any, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
-    missing = set(required) - set(obj)
-    if missing:
-        raise ConfigError(f"{where}: missing fields {sorted(missing)}")
-    return obj
+# A field table maps each field of a block to (reader, default).  A reader
+# takes the field's path and value and returns the value to echo, or raises
+# ConfigError.  Defaults go through the same reader; a default of None
+# leaves an absent field out of the echo.
+REQUIRED = object()
 
 
-def _number(obj: dict, where: str, key: str, default: float | None = None) -> float:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{where}: missing field {key!r}")
-        return default
-    v = obj[key]
+def _number(where: str, v: Any) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {type(v).__name__}")
+        raise ConfigError(f"{where}: expected a number, got {type(v).__name__}")
     if not math.isfinite(v):
-        raise ConfigError(f"{where}.{key}: expected a finite number, got {v}")
+        raise ConfigError(f"{where}: expected a finite number, got {v}")
     return float(v)
 
 
-def _integer(obj: dict, where: str, key: str, default: int | None = None) -> int:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{where}: missing field {key!r}")
-        return default
-    v = obj[key]
-    if (
-        isinstance(v, bool)
-        or not isinstance(v, (int, float))
-        or not math.isfinite(v)
-        or int(v) != v
-    ):
-        raise ConfigError(f"{where}.{key}: expected an integer")
+def _integer(where: str, v: Any) -> int:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or int(v) != v:
+        raise ConfigError(f"{where}: expected an integer")
     return int(v)
 
 
-def _boolean(obj: dict, where: str, key: str, default: bool) -> bool:
-    v = obj.get(key, default)
+def _integer_from(low: int):
+    """Reader of an integer in [low, 2**63): numpy draws int64 counts, and a
+    Philox key, seed << 64 plus a stream id, must stay below 2**128 when scan
+    or network add a grid or anchor index to the seed."""
+
+    def read(where: str, v: Any) -> int:
+        n = _integer(where, v)
+        if n < low:
+            raise ConfigError(f"{where}: must be >= {low}")
+        if n >= 2**63:
+            raise ConfigError(f"{where}: must be < 2**63")
+        return n
+
+    return read
+
+
+_seed = _integer_from(0)
+
+
+def _boolean(where: str, v: Any) -> bool:
     if not isinstance(v, bool):
-        raise ConfigError(f"{where}.{key}: expected a boolean")
+        raise ConfigError(f"{where}: expected a boolean")
     return v
 
 
-def _parse_system(obj: Any) -> SystemParams:
-    _check_keys(
-        obj,
-        "system",
-        required=("eta_d", "p_d", "alpha_db_per_km", "n_pulses", "eps"),
-        optional=("e_d_z", "f_ec", "sigma_deg", "delta_deg"),
-    )
+def _name(where: str, v: Any) -> str:
+    if not isinstance(v, str) or not v:
+        raise ConfigError(f"{where}: expected a non-empty string")
+    return v
+
+
+def _choice(choices: tuple[str, ...]):
+    def read(where: str, v: Any) -> str:
+        if v not in choices:
+            raise ConfigError(f"{where}: expected one of {', '.join(choices)}")
+        return v
+
+    return read
+
+
+def _schema_version(where: str, v: Any) -> int:
+    if isinstance(v, bool) or v != SCHEMA_VERSION:
+        raise ConfigError(f"{where} {v!r} not supported (expected {SCHEMA_VERSION})")
+    return SCHEMA_VERSION
+
+
+def _grid(where: str, v: Any) -> list[float]:
+    if not isinstance(v, list) or not v or not all(
+        isinstance(g, (int, float)) and not isinstance(g, bool) and math.isfinite(g) for g in v
+    ):
+        raise ConfigError(f"{where}: expected a non-empty list of numbers")
+    return [float(g) for g in v]
+
+
+def _anchors(where: str, v: Any) -> list[list[str]]:
+    if not isinstance(v, list):
+        raise ConfigError(f"{where}: expected a list of node-name pairs")
+    for i, pair in enumerate(v):
+        if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(p, str) for p in pair):
+            raise ConfigError(f"{where}[{i}]: expected a pair of node names")
+    return [list(pair) for pair in v]
+
+
+def _block(table: dict):
+    """Reader of a block: it checks the object type, unknown fields, missing
+    fields, then each field by its reader in table order, and returns the
+    block's echo.  The document itself is the block at path ""."""
+
+    def read(where: str, obj: Any) -> dict:
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{where or 'document'}: expected an object")
+        unknown = set(obj) - set(table)
+        if unknown:
+            raise ConfigError(f"{where or 'document'}: unknown fields {sorted(unknown)}")
+        missing = {key for key, (_, default) in table.items() if default is REQUIRED} - set(obj)
+        if missing:
+            raise ConfigError(f"{where or 'document'}: missing fields {sorted(missing)}")
+        return {
+            key: reader(f"{where}.{key}" if where else key, obj.get(key, default))
+            for key, (reader, default) in table.items()
+            if key in obj or default is not None
+        }
+
+    return read
+
+
+def _nodes(where: str, v: Any) -> list[dict]:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{where}: expected a non-empty list")
+    return [_block(NODE)(f"{where}[{i}]", node) for i, node in enumerate(v)]
+
+
+SYSTEM = {
+    "eta_d": (_number, REQUIRED),
+    "p_d": (_number, REQUIRED),
+    "alpha_db_per_km": (_number, REQUIRED),
+    "e_d_z": (_number, 0.0),
+    "f_ec": (_number, 1.1),
+    "n_pulses": (_number, REQUIRED),
+    "sigma_deg": (_number, 0.0),
+    "delta_deg": (_number, 7.0),
+    "eps": (_number, REQUIRED),
+}
+SOURCE = {key: (_number, REQUIRED) for key in ("mu", "nu", "p_mu", "p_nu", "p_o", "p_ohat")}
+NODE = {
+    "name": (_name, REQUIRED),
+    "distance_km": (_number, REQUIRED),
+    "source": (_block(SOURCE), REQUIRED),
+}
+KEYRATE = {
+    "optimize_delta": (_boolean, True),
+    "optimize_sources": (_boolean, False),
+}
+SCAN = {
+    "grid_km": (_grid, REQUIRED),
+    "channel": (_choice(("symmetric", "asymmetric")), "symmetric"),
+    "offset_km": (_number, 0.0),
+    "n_starts": (_integer, 8),
+    "warm_random_starts": (_integer, 4),
+    "seed": (_seed, 0),
+}
+NETWORK = {
+    "anchors": (_anchors, []),
+    "optimize_anchors": (_boolean, True),
+    "orientation": (_choice(ORIENTATION_POLICIES), "nearer_alice"),
+    "n_starts": (_integer, 16),
+    "seed": (_seed, 0),
+}
+MONTECARLO = {
+    "rounds": (_integer_from(1), REQUIRED),
+    "seed": (_seed, 0),
+}
+SNS_SOURCE = {key: (_number, REQUIRED) for key in ("mu_a", "mu_b", "nu_a", "nu_b", "t_a", "t_b")}
+SNS_CHECK = {
+    "source": (_block(SNS_SOURCE), REQUIRED),
+    "e1x_upper": (_number, None),
+    "y10": (_number, None),
+    "y01": (_number, None),
+}
+DOCUMENT = {
+    "schema_version": (_schema_version, REQUIRED),
+    "system": (_block(SYSTEM), REQUIRED),
+    "nodes": (_nodes, REQUIRED),
+    "keyrate": (_block(KEYRATE), {}),
+    "scan": (_block(SCAN), None),
+    "network": (_block(NETWORK), {}),
+    "montecarlo": (_block(MONTECARLO), None),
+    "sns_check": (_block(SNS_CHECK), None),
+}
+
+
+def _build(where: str, cls, *args, **kwargs):
     try:
-        return SystemParams(
-            eta_d=_number(obj, "system", "eta_d"),
-            p_d=_number(obj, "system", "p_d"),
-            alpha=_number(obj, "system", "alpha_db_per_km"),
-            e_d_z=_number(obj, "system", "e_d_z", 0.0),
-            f=_number(obj, "system", "f_ec", 1.1),
-            N=_number(obj, "system", "n_pulses"),
-            sigma=_number(obj, "system", "sigma_deg", 0.0) * DEG,
-            delta=_number(obj, "system", "delta_deg", 7.0) * DEG,
-            eps=_number(obj, "system", "eps"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"system: {exc}") from exc
-
-
-def _parse_source(obj: Any, where: str) -> SourceSetting:
-    _check_keys(obj, where, required=("mu", "nu", "p_mu", "p_nu", "p_o", "p_ohat"))
-    try:
-        return SourceSetting(
-            mu=_number(obj, where, "mu"),
-            nu=_number(obj, where, "nu"),
-            p_mu=_number(obj, where, "p_mu"),
-            p_nu=_number(obj, where, "p_nu"),
-            p_o=_number(obj, where, "p_o"),
-            p_ohat=_number(obj, where, "p_ohat"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_node(obj: Any, index: int) -> NetworkNode:
-    where = f"nodes[{index}]"
-    _check_keys(obj, where, required=("name", "distance_km", "source"))
-    name = obj["name"]
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"{where}.name: expected a non-empty string")
-    distance_km = _number(obj, where, "distance_km")
-    setting = _parse_source(obj["source"], f"{where}.source")
-    try:
-        return NetworkNode(name=name, distance_km=distance_km, setting=setting)
+        return cls(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class ScenarioDocument:
-    """Validated configuration with defaults applied."""
+    """Validated configuration with defaults applied; `resolved` is the
+    validated document itself, which every report echoes."""
 
     params: SystemParams
     nodes: tuple[NetworkNode, ...]
@@ -214,194 +298,46 @@ def load_scenario(path: str) -> ScenarioDocument:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
-    _check_keys(
-        raw,
-        "document",
-        required=("schema_version", "system", "nodes"),
-        optional=("keyrate", "scan", "network", "montecarlo", "sns_check"),
+    resolved = _block(DOCUMENT)("", raw)
+    s = resolved["system"]
+    params = _build(
+        "system", SystemParams, eta_d=s["eta_d"], p_d=s["p_d"], alpha=s["alpha_db_per_km"],
+        e_d_z=s["e_d_z"], f=s["f_ec"], N=s["n_pulses"], sigma=s["sigma_deg"] * DEG,
+        delta=s["delta_deg"] * DEG, eps=s["eps"],
     )
-    if raw["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version {raw['schema_version']!r} not supported (expected {SCHEMA_VERSION})"
-        )
-    params = _parse_system(raw["system"])
-    if not isinstance(raw["nodes"], list) or not raw["nodes"]:
-        raise ConfigError("nodes: expected a non-empty list")
-    nodes = tuple(_parse_node(n, i) for i, n in enumerate(raw["nodes"]))
-    if len({n.name for n in nodes}) != len(nodes):
-        raise ConfigError("nodes: names must be unique")
-
-    keyrate = _check_keys(
-        raw.get("keyrate", {}), "keyrate", required=(), optional=("optimize_delta", "optimize_sources")
+    nodes = tuple(
+        _build(f"nodes[{i}]", NetworkNode, node["name"], node["distance_km"],
+               _build(f"nodes[{i}].source", SourceSetting, **node["source"]))
+        for i, node in enumerate(resolved["nodes"])
     )
-    keyrate = {
-        "optimize_delta": _boolean(keyrate, "keyrate", "optimize_delta", True),
-        "optimize_sources": _boolean(keyrate, "keyrate", "optimize_sources", False),
-    }
-
-    scan = None
-    if "scan" in raw:
-        blk = _check_keys(
-            raw["scan"],
-            "scan",
-            required=("grid_km",),
-            optional=("channel", "offset_km", "n_starts", "warm_random_starts", "seed"),
-        )
-        grid = blk["grid_km"]
-        if not isinstance(grid, list) or not grid or not all(
-            isinstance(g, (int, float)) and not isinstance(g, bool) and math.isfinite(g)
-            for g in grid
-        ):
-            raise ConfigError("scan.grid_km: expected a non-empty list of numbers")
-        channel = blk.get("channel", "symmetric")
-        if channel not in ("symmetric", "asymmetric"):
-            raise ConfigError("scan.channel: expected 'symmetric' or 'asymmetric'")
-        try:
-            shape = ChannelShape(channel, _number(blk, "scan", "offset_km", 0.0))
-        except ValueError as exc:
-            raise ConfigError(f"scan: {exc}") from exc
-        scan = {
-            "channel": shape,
-            "grid_km": [float(g) for g in grid],
-            "n_starts": _integer(blk, "scan", "n_starts", 8),
-            "warm_random_starts": _integer(blk, "scan", "warm_random_starts", 4),
-            "seed": _integer(blk, "scan", "seed", 0),
-        }
-
-    network_blk = _check_keys(
-        raw.get("network", {}),
-        "network",
-        required=(),
-        optional=("anchors", "optimize_anchors", "orientation", "n_starts", "seed"),
-    )
-    anchors = network_blk.get("anchors", [])
-    if not isinstance(anchors, list):
-        raise ConfigError("network.anchors: expected a list of node-name pairs")
-    parsed_anchors = []
     names = {n.name for n in nodes}
-    for i, pair in enumerate(anchors):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(p, str) for p in pair)
-        ):
-            raise ConfigError(f"network.anchors[{i}]: expected a pair of node names")
-        for p in pair:
-            if p not in names:
-                raise ConfigError(f"network.anchors[{i}]: unknown node {p!r}")
-        parsed_anchors.append((pair[0], pair[1]))
-    orientation = network_blk.get("orientation", "nearer_alice")
-    if orientation not in ORIENTATION_POLICIES:
-        raise ConfigError(f"network.orientation: expected one of {', '.join(ORIENTATION_POLICIES)}")
-    network = {
-        "anchors": tuple(parsed_anchors),
-        "optimize_anchors": _boolean(network_blk, "network", "optimize_anchors", True),
-        "orientation": orientation,
-        "n_starts": _integer(network_blk, "network", "n_starts", 16),
-        "seed": _integer(network_blk, "network", "seed", 0),
-    }
+    if len(names) != len(nodes):
+        raise ConfigError("nodes: names must be unique")
+    network = resolved["network"]
+    for i, pair in enumerate(network["anchors"]):
+        for name in pair:
+            if name not in names:
+                raise ConfigError(f"network.anchors[{i}]: unknown node {name!r}")
 
-    montecarlo = None
-    if "montecarlo" in raw:
-        blk = _check_keys(raw["montecarlo"], "montecarlo", required=("rounds",), optional=("seed",))
-        rounds = _integer(blk, "montecarlo", "rounds")
-        if rounds < 1:
-            raise ConfigError("montecarlo.rounds: must be >= 1")
-        montecarlo = {"rounds": rounds, "seed": _integer(blk, "montecarlo", "seed", 0)}
-
-    sns_check = None
-    if "sns_check" in raw:
-        blk = _check_keys(
-            raw["sns_check"],
-            "sns_check",
-            required=("source",),
-            optional=("e1x_upper", "y10", "y01"),
-        )
-        src = _check_keys(
-            blk["source"], "sns_check.source", required=("mu_a", "mu_b", "nu_a", "nu_b", "t_a", "t_b")
-        )
-        try:
-            source = SnsSourceSetting(
-                mu_a=_number(src, "sns_check.source", "mu_a"),
-                mu_b=_number(src, "sns_check.source", "mu_b"),
-                nu_a=_number(src, "sns_check.source", "nu_a"),
-                nu_b=_number(src, "sns_check.source", "nu_b"),
-                t_a=_number(src, "sns_check.source", "t_a"),
-                t_b=_number(src, "sns_check.source", "t_b"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"sns_check.source: {exc}") from exc
+    scan = resolved.get("scan")
+    if scan is not None:
+        scan = {**scan, "channel": _build("scan", ChannelShape, scan["channel"], scan["offset_km"])}
+    sns_check = resolved.get("sns_check")
+    if sns_check is not None:
         sns_check = {
-            "source": source,
-            "e1x_upper": _number(blk, "sns_check", "e1x_upper", 0.0) if "e1x_upper" in blk else None,
-            "y10": _number(blk, "sns_check", "y10", 0.0) if "y10" in blk else None,
-            "y01": _number(blk, "sns_check", "y01", 0.0) if "y01" in blk else None,
+            "source": _build("sns_check.source", SnsSourceSetting, **sns_check["source"]),
+            **{key: sns_check.get(key) for key in ("e1x_upper", "y10", "y01")},
         }
-
     return ScenarioDocument(
         params=params,
         nodes=nodes,
-        keyrate=keyrate,
+        keyrate=resolved["keyrate"],
         scan=scan,
-        network=network,
-        montecarlo=montecarlo,
+        network={**network, "anchors": tuple(tuple(pair) for pair in network["anchors"])},
+        montecarlo=resolved.get("montecarlo"),
         sns_check=sns_check,
-        resolved=_render_resolved(params, nodes, keyrate, scan, network, montecarlo, sns_check),
+        resolved=resolved,
     )
-
-
-def _render_source(s: SourceSetting) -> dict:
-    return {"mu": s.mu, "nu": s.nu, "p_mu": s.p_mu, "p_nu": s.p_nu, "p_o": s.p_o, "p_ohat": s.p_ohat}
-
-
-def _render_resolved(params, nodes, keyrate, scan, network, montecarlo, sns_check) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "system": {
-            "eta_d": params.eta_d,
-            "p_d": params.p_d,
-            "alpha_db_per_km": params.alpha,
-            "e_d_z": params.e_d_z,
-            "f_ec": params.f,
-            "n_pulses": params.N,
-            "sigma_deg": params.sigma / DEG,
-            "delta_deg": params.delta / DEG,
-            "eps": params.eps,
-        },
-        "nodes": [
-            {"name": n.name, "distance_km": n.distance_km, "source": _render_source(n.setting)}
-            for n in nodes
-        ],
-        "keyrate": dict(keyrate),
-        "network": {
-            "anchors": [list(p) for p in network["anchors"]],
-            "optimize_anchors": network["optimize_anchors"],
-            "orientation": network["orientation"],
-            "n_starts": network["n_starts"],
-            "seed": network["seed"],
-        },
-    }
-    if scan is not None:
-        doc["scan"] = {
-            "channel": scan["channel"].kind,
-            "offset_km": scan["channel"].offset_km,
-            "grid_km": list(scan["grid_km"]),
-            "n_starts": scan["n_starts"],
-            "warm_random_starts": scan["warm_random_starts"],
-            "seed": scan["seed"],
-        }
-    if montecarlo is not None:
-        doc["montecarlo"] = dict(montecarlo)
-    if sns_check is not None:
-        s = sns_check["source"]
-        doc["sns_check"] = {
-            "source": {
-                "mu_a": s.mu_a, "mu_b": s.mu_b, "nu_a": s.nu_a,
-                "nu_b": s.nu_b, "t_a": s.t_a, "t_b": s.t_b,
-            },
-            **{k: v for k, v in sns_check.items() if k != "source" and v is not None},
-        }
-    return doc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -412,33 +348,17 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _json_report(command: str, doc: ScenarioDocument, seed: int | None, results: dict) -> str:
-    report = {
-        "tool": "tfkeyrate",
-        "version": __version__,
-        "command": command,
-        "config": doc.resolved,
-        "results": results,
-    }
+def _json_report(command: str, doc: ScenarioDocument, seed: int | None, **fields: Any) -> str:
+    """A JSON report or CSV sidecar: the resolved config, seed and version, plus fields."""
+    report = {"tool": "tfkeyrate", "version": __version__, "command": command, "config": doc.resolved, **fields}
     if seed is not None:
         report["seed"] = seed
     return json.dumps(_round_floats(report), indent=2, sort_keys=True) + "\n"
 
 
-def _write_meta(out: str | None, command: str, doc: ScenarioDocument, seed: int | None, extra: dict | None = None) -> None:
-    if out is None:
-        return
-    meta = {
-        "tool": "tfkeyrate",
-        "version": __version__,
-        "command": command,
-        "config": doc.resolved,
-    }
-    if seed is not None:
-        meta["seed"] = seed
-    if extra:
-        meta.update(extra)
-    _write_text(out + ".meta.json", json.dumps(_round_floats(meta), indent=2, sort_keys=True) + "\n")
+def _write_meta(out: str | None, command: str, doc: ScenarioDocument, seed: int | None, **fields: Any) -> None:
+    if out is not None:
+        _write_text(out + ".meta.json", _json_report(command, doc, seed, **fields))
 
 
 def _orient_two(doc: ScenarioDocument, command: str) -> tuple[NetworkNode, NetworkNode]:
@@ -513,9 +433,9 @@ def cmd_keyrate(doc: ScenarioDocument, args: argparse.Namespace) -> int:
         },
         "chernoff_applications": len(evaluation.chernoff_applications),
         "plob": plob_bound(total, params.eta_d, params.alpha),
-        "sources": {"a": _render_source(a), "b": _render_source(b)},
+        "sources": {"a": asdict(a), "b": asdict(b)},
     }
-    _write_text(args.out, _json_report("keyrate", doc, seed, results))
+    _write_text(args.out, _json_report("keyrate", doc, seed, results=results))
     return 0
 
 
@@ -537,23 +457,11 @@ def cmd_scan(doc: ScenarioDocument, args: argparse.Namespace) -> int:
         for r in rows
     )
     _write_text(args.out, "\n".join(lines) + "\n")
-    _write_meta(
-        args.out,
-        "scan",
-        doc,
-        seed,
-        {
-            "settings": [
-                {
-                    "total_km": r.total_km,
-                    "delta_deg": r.plan.delta / DEG,
-                    "a": _render_source(r.plan.a),
-                    "b": _render_source(r.plan.b),
-                }
-                for r in rows
-            ]
-        },
-    )
+    settings = [
+        {"total_km": r.total_km, "delta_deg": r.plan.delta / DEG, "a": asdict(r.plan.a), "b": asdict(r.plan.b)}
+        for r in rows
+    ]
+    _write_meta(args.out, "scan", doc, seed, settings=settings)
     return 0
 
 
@@ -575,13 +483,8 @@ def cmd_network(doc: ScenarioDocument, args: argparse.Namespace) -> int:
             + ",".join(_fmt(v) for v in (p.total_km, p.delta / DEG, p.rate, p.plob, p.ratio))
         )
     _write_text(args.out, "\n".join(lines) + "\n")
-    _write_meta(
-        args.out,
-        "network",
-        doc,
-        seed,
-        {"frozen_settings": {n: _render_source(s) for n, s in result.settings.items()}},
-    )
+    frozen = {n: asdict(s) for n, s in result.settings.items()}
+    _write_meta(args.out, "network", doc, seed, frozen_settings=frozen)
     return 0
 
 
@@ -638,7 +541,7 @@ def cmd_montecarlo(doc: ScenarioDocument, args: argparse.Namespace) -> int:
         "tally": tally.summary(),
         "decoy_bounds": bounds,
     }
-    _write_text(args.out, _json_report("montecarlo", doc, seed, results))
+    _write_text(args.out, _json_report("montecarlo", doc, seed, results=results))
     return 0
 
 
@@ -670,7 +573,9 @@ def cmd_sns_check(doc: ScenarioDocument, args: argparse.Namespace) -> int:
     except UnusableCoinError as exc:
         results["delta"] = exc.delta
         results["coin_usable"] = False
-    _write_text(args.out, _json_report("sns-check", doc, None, results))
+    except ValueError as exc:  # configured yields or e1x_upper out of range
+        raise ConfigError(f"sns_check: {exc}") from exc
+    _write_text(args.out, _json_report("sns-check", doc, None, results=results))
     return 0
 
 
@@ -714,6 +619,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            _seed("--seed", args.seed)
         doc = load_scenario(args.config)
         return _COMMANDS[args.command](doc, args)
     except ConfigError as exc:

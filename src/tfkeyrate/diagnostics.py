@@ -51,11 +51,19 @@ class SnsSourceSetting:
         for name in ("t_a", "t_b"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
+        if not min(self.z_terms()) > 0.0:
+            raise ValueError(f"Z-window weights t (1 - t') mu e^-mu must be positive floats, got {self.z_terms()}")
+
+    def z_terms(self) -> tuple[float, float]:
+        """Unnormalized single-photon weights of the Z-window joint state."""
+        return (
+            self.t_a * (1.0 - self.t_b) * self.mu_a * math.exp(-self.mu_a),
+            self.t_b * (1.0 - self.t_a) * self.mu_b * math.exp(-self.mu_b),
+        )
 
     def z_weights(self) -> tuple[float, float]:
         """Normalized single-photon weights of the Z-window joint state."""
-        w_a = self.t_a * (1.0 - self.t_b) * self.mu_a * math.exp(-self.mu_a)
-        w_b = self.t_b * (1.0 - self.t_a) * self.mu_b * math.exp(-self.mu_b)
+        w_a, w_b = self.z_terms()
         total = w_a + w_b
         return w_a / total, w_b / total
 
@@ -67,11 +75,8 @@ class SnsSourceSetting:
 def sns_constraint_residual(s: SnsSourceSetting) -> float:
     """nu_a/nu_b minus the intensity ratio that equalizes the Z and X
     single-photon states; zero exactly when the source constraint holds."""
-    lhs = s.nu_a / s.nu_b
-    rhs = (s.t_a * (1.0 - s.t_b) * s.mu_a * math.exp(-s.mu_a)) / (
-        s.t_b * (1.0 - s.t_a) * s.mu_b * math.exp(-s.mu_b)
-    )
-    return lhs - rhs
+    w_a, w_b = s.z_terms()
+    return s.nu_a / s.nu_b - w_a / w_b
 
 
 def sns_quantum_coin_delta(s: SnsSourceSetting, y10: float, y01: float) -> float:

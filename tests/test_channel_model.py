@@ -16,7 +16,6 @@ from tfkeyrate.channel_model import (
     MissingDeclareVacuumError,
     SourceSetting,
     SystemParams,
-    aopp_x_error_count,
     declare_vacuum_probability,
     expected_pair_counts,
     observed_statistics,
@@ -302,15 +301,8 @@ def test_x_error_forms_agree_on_click_totals():
     for _ in range(25):
         geom = LinkGeometry(float(rng.uniform(5.0, 150.0)), float(rng.uniform(5.0, 150.0)))
         params = _params(p_d=1e-8, sigma_deg=float(rng.uniform(0.0, 18.0)))
-        n_fp, m_fp = x_basis_counts(_SOURCE_A, _SOURCE_B, geom, params, form="first_principles")
-        n_cf, m_cf = x_basis_counts(_SOURCE_A, _SOURCE_B, geom, params, form="paper_closed_form")
-        assert math.isclose(n_fp, n_cf, rel_tol=1e-12)
-        assert 0.0 < m_fp <= n_fp
-        # The closed-form error integrand is nonpositive over the whole
-        # slice, so its clamped integral is identically zero.
-        assert m_cf == 0.0
-    with pytest.raises(ValueError):
-        x_basis_counts(_SOURCE_A, _SOURCE_B, geom, params, form="unknown")
+        n_x, m_x = x_basis_counts(_SOURCE_A, _SOURCE_B, geom, params)
+        assert 0.0 < m_x <= n_x
 
 
 def test_x_counts_match_independent_quadrature():
@@ -331,35 +323,6 @@ def test_x_counts_match_independent_quadrature():
     )
     assert math.isclose(n_x, pref * click_int, rel_tol=1e-9)
     assert math.isclose(m_x, pref * err_int, rel_tol=1e-9)
-
-
-def test_aopp_error_count_matches_independent_quadrature():
-    geom = LinkGeometry(60.0, 140.0)
-    params = _params()
-    eta_a, eta_b = geom.transmittances(params)
-    y = (1.0 - params.p_d) * math.exp(-(eta_a * _SOURCE_A.nu + eta_b * _SOURCE_B.nu) / 2.0)
-    omega = math.sqrt(eta_a * _SOURCE_A.nu * eta_b * _SOURCE_B.nu)
-    pref = 2.0 * params.N * _SOURCE_A.p_nu * _SOURCE_B.p_nu / math.pi
-    lo, hi = params.sigma, params.sigma + params.delta
-    ref, _ = integrate.quad(
-        lambda t: y * (math.exp(-omega * math.cos(t)) - y), lo, hi,
-        epsabs=0.0, epsrel=1e-12,
-    )
-    assert math.isclose(aopp_x_error_count(_SOURCE_A, _SOURCE_B, geom, params), pref * ref, rel_tol=1e-9)
-
-
-def test_aopp_error_count_flat_window_limit():
-    # With one side nearly dark the interference amplitude is negligible
-    # next to the total loss and the integrand flattens to y(1 - y).
-    bright = SourceSetting(0.45, 1e-2, 0.30, 0.25, 0.40, 0.05)
-    dark = SourceSetting(1e-5, 1e-10, 0.30, 0.25, 0.40, 0.05)
-    geom = LinkGeometry(30.0, 30.0)
-    params = _params(sigma_deg=0.0, delta_deg=4.0)
-    eta_a, eta_b = geom.transmittances(params)
-    y = (1.0 - params.p_d) * math.exp(-(eta_a * bright.nu + eta_b * dark.nu) / 2.0)
-    pref = 2.0 * params.N * bright.p_nu * dark.p_nu / math.pi
-    flat = pref * y * (1.0 - y) * params.delta
-    assert math.isclose(aopp_x_error_count(bright, dark, geom, params), flat, rel_tol=2e-3)
 
 
 def test_single_photon_yields_reduce_to_arm_transmittance():

@@ -542,3 +542,62 @@ def test_commands_reject_missing_blocks(tmp_path, capsys):
     ):
         assert main([command, "--config", cfg]) == 2
         assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, block, fields, extra, needle",
+    [
+        ("montecarlo", "montecarlo_toy.json", "montecarlo", {"seed": -1}, [], "montecarlo.seed"),
+        ("montecarlo", "montecarlo_toy.json", "montecarlo", {"seed": 2e19}, [], "montecarlo.seed"),
+        ("montecarlo", "montecarlo_toy.json", "montecarlo", {}, ["--seed", "-1"], "--seed"),
+        ("scan", "scan_symmetric.json", "scan", {"seed": -1}, [], "scan.seed"),
+        ("network", "network_four_users.json", "network",
+         {"anchors": [["A", "C"]], "optimize_anchors": True, "seed": -1}, [], "network.seed"),
+    ],
+    ids=["montecarlo-seed-negative", "montecarlo-seed-2e19", "seed-flag-negative", "scan-seed", "network-seed"],
+)
+def test_seed_outside_the_philox_key_range_exits_2(tmp_path, capsys, command, config, block, fields, extra, needle):
+    # the Philox key is seed << 64 and must stay below 2**128; the parent
+    # ended these runs with a ValueError traceback
+    doc = json.loads(open(_shipped(config), encoding="utf-8").read())
+    doc[block].update(fields)
+    out = tmp_path / "report.out"
+    start = time.perf_counter()
+    assert main([command, "--config", _write(tmp_path, doc), "--out", str(out), *extra]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err
+
+
+@pytest.mark.parametrize("rounds", [1e300, 2e19, 2**63])
+def test_round_count_beyond_int64_exits_2_quickly(tmp_path, capsys, rounds):
+    # numpy draws int64 counts; the parent built one job per shard (2e13 for
+    # the toy link) and ran on with no output
+    doc = json.loads(open(_shipped("montecarlo_toy.json"), encoding="utf-8").read())
+    doc["montecarlo"]["rounds"] = rounds
+    _exits_2_quickly(tmp_path, capsys, "montecarlo", doc, "montecarlo.rounds")
+
+
+def test_largest_int64_round_count_is_accepted(tmp_path):
+    doc = json.loads(open(_shipped("montecarlo_toy.json"), encoding="utf-8").read())
+    doc["montecarlo"]["rounds"] = 2**63 - 1
+    assert load_scenario(_write(tmp_path, doc)).montecarlo["rounds"] == 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "fields, needle",
+    [
+        ({"e1x_upper": 1.5}, "e1x must lie in [0, 0.5]"),
+        ({"y10": 2.0, "y01": 0.5}, "yields must lie in (0, 1]"),
+        ({"source": {"mu_a": 0.4, "mu_b": 1e300, "nu_a": 0.1, "nu_b": 0.1, "t_a": 0.3, "t_b": 0.3}},
+         "Z-window weights"),
+    ],
+    ids=["e1x-upper", "yields", "underflowing-weight"],
+)
+def test_sns_check_values_outside_their_range_exit_2(tmp_path, capsys, fields, needle):
+    # the parent ended these runs with a ValueError or ZeroDivisionError traceback
+    doc = json.loads(open(_shipped("sns_symmetric.json"), encoding="utf-8").read())
+    doc["sns_check"].update(fields)
+    _exits_2_quickly(tmp_path, capsys, "sns-check", doc, needle)

@@ -202,3 +202,13 @@ def test_phase_error_bound_clamps_and_validates():
         sns_phase_error_bound(0.1, -0.01)
     with pytest.raises(ValueError):
         sns_phase_error_bound(0.1, 0.6)
+
+
+@pytest.mark.parametrize(
+    "mu_a, mu_b, t_a, t_b",
+    [(1e300, 0.4, 0.3, 0.3), (0.4, 5e-324, 0.3, 0.3), (0.4, 0.4, 0.3, 5e-324)],
+)
+def test_sns_setting_rejects_z_weights_that_underflow(mu_a, mu_b, t_a, t_b):
+    # a Z-window weight of 0 divides the constraint residual by zero
+    with pytest.raises(ValueError, match="Z-window weights"):
+        SnsSourceSetting(mu_a, mu_b, 0.1, 0.1, t_a, t_b)
