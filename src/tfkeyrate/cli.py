@@ -46,7 +46,7 @@ from .diagnostics import (
     sns_phase_error_bound,
     sns_quantum_coin_delta,
 )
-from .event_simulator import compare_with_analytics, oracle_tally
+from .event_simulator import compare_with_analytics, oracle_tally, resolve_threads
 from .keyrate_engine import (
     MODE_ASYMPTOTIC,
     MODE_FINITE,
@@ -71,6 +71,10 @@ DEG = math.pi / 180.0
 
 CSV_SCAN_HEADER = "total_km,rate_finite,rate_asymptotic,plob"
 CSV_NETWORK_HEADER = "node_a,node_b,total_km,delta_deg,rate,plob,ratio"
+
+# A montecarlo row is flagged when its exact Poisson tail is below the
+# two-sided tail of a normal variable beyond 3 standard deviations.
+FLAG_TAIL = math.erfc(3.0 / math.sqrt(2.0))
 
 
 class ConfigError(ValueError):
@@ -496,10 +500,14 @@ def cmd_montecarlo(doc: ScenarioDocument, args: argparse.Namespace) -> int:
     a, b = near.setting, far.setting
     seed = args.seed if args.seed is not None else doc.montecarlo["seed"]
     rounds = doc.montecarlo["rounds"]
+    try:
+        threads = resolve_threads(args.threads)
+    except ValueError as exc:  # a TFKEYRATE_THREADS that is not an integer
+        raise ConfigError(str(exc)) from exc
 
-    tally = oracle_tally(a, b, geom, doc.params, rounds, seed, threads=args.threads)
+    tally = oracle_tally(a, b, geom, doc.params, rounds, seed, threads=threads)
     rows = compare_with_analytics(tally, a, b, geom, doc.params)
-    flagged = [r.name for r in rows if abs(r.z_score) > 3.0]
+    flagged = [r.name for r in rows if r.tail < FLAG_TAIL]
 
     params = replace(doc.params, N=float(rounds))
     bounds: dict[str, Any]
@@ -534,7 +542,8 @@ def cmd_montecarlo(doc: ScenarioDocument, args: argparse.Namespace) -> int:
         "rounds": rounds,
         "node_order": [near.name, far.name],
         "comparison": [
-            {"name": r.name, "observed": r.observed, "expected": r.expected, "z": r.z_score}
+            {"name": r.name, "observed": r.observed, "expected": r.expected, "z": r.z_score,
+             "tail": r.tail}
             for r in rows
         ],
         "flagged": flagged,

@@ -10,15 +10,25 @@ truth.
 It is event-sparse: per shard it draws the 16 intensity-class round counts,
 then per class how many rounds have at least one arriving photon (chance
 1 - e^-M whatever the phase), a left dark count or a right dark count.  Only
-those candidate rounds, the only ones that can click, get arrival numbers,
-photon tags (Poisson splitting of arrived and lost photons), a phase, bits
-and a detector split; they are kept in random order, independent of their
-outcomes.  The tallies have the same joint distribution as drawing every
-round, at a cost of O(events) plus O(classes x shards).
+those candidate rounds, the only ones that can click, get arrival numbers;
+they are kept in random order, independent of their outcomes.  Each further
+quantity is drawn only for the rounds whose tally fields read it:
+- the phase for every (nu, nu) round, whose X-slice membership reads it;
+- the phase, the bits and the detector split (one uniform per arrived
+  photon) for rounds with two or more arrived photons, a dark count beside
+  a photon, or a (nu, nu) round in the slice.  A lone photon without a dark
+  count clicks exactly one detector whatever the phase and the bits, and
+  dark counts alone click by their pattern;
+- the arm split and the lost photons (the photon tags) for the mu pool,
+  the X events and the rounds of the (o, mu) and (mu, o) classes, whose
+  single-photon ground truth counts every round.
+The tallies have the same joint distribution as drawing every round, at a
+cost of O(events) plus O(classes x shards).
 
 Every result is one frozen MonteCarloTally: each shard returns the tally of
-its own rounds, simulate_rounds merges them, and the Z and X matching passes
-return a new tally with their fields set, leaving their argument unchanged.
+its own rounds, simulate_rounds merges them in shard order as they finish,
+and the Z and X matching passes return a new tally with their fields set,
+leaving their argument unchanged.
 
 Determinism: rounds are partitioned into shards, each driven by a
 counter-based Philox stream keyed by (seed, shard index); the two matching
@@ -26,11 +36,12 @@ passes use dedicated streams.  Shard sizes depend on the configuration and
 the round count alone, so tallies are bit-exact functions of (seed,
 configuration, rounds) regardless of thread count.
 
-Threads: a shard costs its candidate rounds plus ~40 fixed numpy calls that
-hold the interpreter lock, so shards double from SHARD_ROUNDS rounds until
-one expects TARGET_CANDIDATES candidates or covers the run.  The thread
-count is an upper bound: one shard runs serially, and from the second shard
-on the shards, which share the per-class constants, go to a thread pool.
+Threads: a shard costs its candidate rounds plus about 0.2 ms of fixed
+numpy calls that hold the interpreter lock, so shards double from
+SHARD_ROUNDS rounds until one expects TARGET_CANDIDATES candidates or covers
+the run.  The thread count is an upper bound: one shard runs serially, and
+from the second shard on the shards, which share the per-class constants,
+go to a thread pool.
 """
 
 from __future__ import annotations
@@ -60,6 +71,14 @@ SHARD_ROUNDS = 1_000_000
 # serial against 88 ms pooled), so at 20k every run of two shards or more uses it.
 TARGET_CANDIDATES = 20_000
 
+# Shards whose pools simulate_rounds concatenates into one chunk: worker
+# threads allocate a shard's small pools among its temporaries, and copying
+# them out in batches lets the threads reuse that memory.
+_MERGE_SHARDS = 32
+
+# Pairs post_match_z classifies per step
+_Z_MATCH_CHUNK = 1 << 18
+
 # Philox stream ids: shard index for round generation, plus two reserved
 # streams for the Z and X matching passes
 _Z_MATCH_STREAM = 1 << 62
@@ -69,8 +88,15 @@ _X_MATCH_STREAM = (1 << 62) + 1
 # pair _CLASS_LABELS[4 i + j]
 _MU, _NU, _O, _OHAT = 0, 1, 2, 3
 _CLASS_LABELS = tuple(itertools.product(INTENSITY_LABELS, repeat=2))
+_MU_MU, _NU_NU = 4 * _MU + _MU, 4 * _NU + _NU
 # the classes of the single-photon ground truth
 _O_MU, _MU_O = 4 * _O + _MU, 4 * _MU + _O
+_CLASSES = np.arange(16)
+_SINGLE_CLASS = np.isin(_CLASSES, [_O_MU, _MU_O])
+# the classes whose clicks join the Z pools: the first user sent o / mu, the
+# second o or mu
+_POOL_O = np.isin(_CLASSES, [4 * _O + _O, _O_MU])
+_POOL_MU = np.isin(_CLASSES, [_MU_MU, _MU_O])
 
 # Flag patterns of a round that can click: bit 0 at least one photon
 # arrives, bit 1 a left dark count, bit 2 a right dark count.
@@ -79,6 +105,10 @@ _N_PATTERNS = _PATTERNS.shape[0]
 _ARRIVAL = (_PATTERNS & 1) != 0
 _DARK_L = (_PATTERNS & 2) != 0
 _DARK_R = (_PATTERNS & 4) != 0
+_DARK_BESIDE_PHOTON = _ARRIVAL & (_DARK_L | _DARK_R)
+# success of a round that needs no detector split: a lone photon clicks one
+# detector, dark counts alone click where they fall
+_UNSPLIT_SUCCESS = _ARRIVAL ^ _DARK_L ^ _DARK_R
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -104,7 +134,6 @@ class MonteCarloTally:
     z_o_nb: np.ndarray
     z_mu_bob_mu: np.ndarray
     z_mu_na: np.ndarray
-    z_mu_nb: np.ndarray
     # X events inside the phase slice, in the same order
     x_u: np.ndarray
     x_tag10: np.ndarray
@@ -163,7 +192,7 @@ class MonteCarloTally:
 
 # Tally fields simulate_rounds merges: event pools are concatenated shard by
 # shard, counters summed.
-_POOL_FIELDS = ("z_o_bob_mu", "z_o_nb", "z_mu_bob_mu", "z_mu_na", "z_mu_nb", "x_u", "x_tag10", "x_tag01")
+_POOL_FIELDS = ("z_o_bob_mu", "z_o_nb", "z_mu_bob_mu", "z_mu_na", "x_u", "x_tag10", "x_tag01")
 _COUNT_FIELDS = (
     "o_mu_single_rounds", "o_mu_single_clicks", "mu_o_single_rounds", "mu_o_single_clicks"
 )
@@ -247,13 +276,21 @@ def _run_constants(
     )
 
 
+def _split(rng: np.random.Generator, photons: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per round, how many of its photons take a branch of chance p: one
+    uniform per photon, counted per round (Binomial(photons, p))."""
+    owner = np.repeat(np.arange(photons.shape[0]), photons)
+    return np.bincount(owner[rng.random(owner.shape[0]) < p[owner]], minlength=photons.shape[0])
+
+
 def _simulate_shard(run: _RunConstants, n: int, seed: int, shard_index: int) -> MonteCarloTally:
     rng = _stream(seed, shard_index)
     params = run.params
     two_pi = 2.0 * math.pi
 
     # fixed draw order: class counts, flag patterns, candidate order,
-    # arrivals, photon tags, phases, bits, detector split, silent singles
+    # arrivals, (nu, nu) phases, the other split rounds' phases, bits,
+    # detector split, arm split, lost photons, silent singles
     class_counts = rng.multinomial(n, run.class_probs)
     pattern_counts = rng.multinomial(class_counts, run.pattern_probs)
     silent = pattern_counts[:, -1]
@@ -263,8 +300,7 @@ def _simulate_shard(run: _RunConstants, n: int, seed: int, shard_index: int) -> 
     code = np.repeat(np.arange(16 * _N_PATTERNS), pattern_counts[:, :-1].ravel())
     rng.shuffle(code)
     cls, pat = np.divmod(code, _N_PATTERNS)
-    ia, ib = np.divmod(cls, 4)
-    arrival, dark_l, dark_r = _ARRIVAL[pat], _DARK_L[pat], _DARK_R[pat]
+    arrival = _ARRIVAL[pat]
     c = code.shape[0]
 
     # Zero-truncated Poisson(M) arrivals: the first arrival time T of a
@@ -276,44 +312,62 @@ def _simulate_shard(run: _RunConstants, n: int, seed: int, shard_index: int) -> 
     arrived = np.zeros(c, dtype=np.int64)
     arrived[arrival] = 1 + rng.poisson(remaining)
 
-    # Poisson splitting: arrivals per arm, plus photons lost on the way
-    surv_a = rng.binomial(arrived, run.share_a[cls])
-    n_a = surv_a + rng.poisson(run.lost_a[cls])
-    n_b = arrived - surv_a + rng.poisson(run.lost_b[cls])
+    # theta_a - theta_b + phi_ab is uniform on [0, 2 pi): one draw suffices.
+    # The slice reads it for every (nu, nu) round.
+    nunu = np.flatnonzero(cls == _NU_NU)
+    theta = np.empty(c)
+    theta[nunu] = rng.random(nunu.shape[0]) * two_pi
+    folded = np.mod(theta[nunu] - params.sigma, two_pi)
+    in_slice = np.mod(folded, math.pi) < params.delta
+    slice_rounds, arm = nunu[in_slice], folded[in_slice] >= math.pi
 
-    # theta_a - theta_b + phi_ab is uniform on [0, 2 pi): one draw suffices
-    theta = rng.random(c) * two_pi
-    r_a = rng.integers(0, 2, size=c, dtype=np.int8)
-    r_b = rng.integers(0, 2, size=c, dtype=np.int8)
-    # encoded bits shift the relative phase by pi each
-    sign = 1.0 - 2.0 * np.logical_xor(r_a, r_b)
-    p_left = np.clip(0.5 + sign * run.visibility[cls] * np.cos(theta), 0.0, 1.0)
-    arr_left = rng.binomial(arrived, p_left)
-
-    click_left = (arr_left > 0) | dark_l
-    click_right = (arrived - arr_left > 0) | dark_r
-    success = np.logical_xor(click_left, click_right)
-    det_right = success & click_right
-
-    clicks = np.bincount(cls[success], minlength=16)
-
-    bob_z = (ib == _O) | (ib == _MU)
-    pool_o = success & (ia == _O) & bob_z
-    pool_mu = success & (ia == _MU) & bob_z
-
-    x_mask = success & (ia == _NU) & (ib == _NU)
-    folded = np.mod(theta - params.sigma, two_pi)
-    kept = x_mask & (np.mod(folded, math.pi) < params.delta)
-    arm = folded[kept] >= math.pi
-    u = np.logical_xor(
-        np.logical_xor(r_a[kept].astype(bool), r_b[kept].astype(bool)),
-        np.logical_xor(arm, det_right[kept]),
+    # A lone photon clicks exactly one detector whatever the phase and the
+    # bits, and dark counts alone click by their pattern.  Only rounds with
+    # two photons or more, a dark count beside a photon, or a (nu, nu) round
+    # in the slice (its parity reads the bits and the detector) are split.
+    split = (arrived > 1) | _DARK_BESIDE_PHOTON[pat]
+    split[slice_rounds] = True
+    idx = np.flatnonzero(split)
+    others = idx[cls[idx] != _NU_NU]
+    theta[others] = rng.random(others.shape[0]) * two_pi
+    # differing encoded bits shift the relative phase by pi
+    flip = rng.integers(0, 2, size=idx.shape[0], dtype=bool)
+    p_left = np.clip(
+        0.5 + np.where(flip, -1.0, 1.0) * run.visibility[cls[idx]] * np.cos(theta[idx]), 0.0, 1.0
     )
+    left = _split(rng, arrived[idx], p_left)
+    click_right = (arrived[idx] - left > 0) | _DARK_R[pat[idx]]
+    split_success = ((left > 0) | _DARK_L[pat[idx]]) ^ click_right
 
-    # Single-photon ground truth counts every round of the class.  A silent
-    # round's photons were all lost, so its tag is Poisson((1 - eta) k).
-    o_mu_single = (cls == _O_MU) & (n_b == 1)
-    mu_o_single = (cls == _MU_O) & (n_a == 1)
+    success = _UNSPLIT_SUCCESS[pat]
+    success[idx] = split_success
+    clicks = np.bincount(cls[success], minlength=16)
+    pool_o = np.flatnonzero(success & _POOL_O[cls])
+    pool_mu = np.flatnonzero(success & _POOL_MU[cls])
+
+    # the slice rounds among the split ones; a kept event's parity folds in
+    # the bits, the arm and the detector that clicked
+    at = np.searchsorted(idx, slice_rounds)
+    kept = split_success[at]
+    x_rounds = slice_rounds[kept]
+    u = flip[at][kept] ^ arm[kept] ^ click_right[at][kept]
+
+    # Photon tags (Poisson splitting of arrived and lost photons) only where
+    # a tally field reads them: the mu pool, the X events and the classes of
+    # the single-photon ground truth, which counts every round of the class.
+    # A silent round's photons were all lost, so its tag is Poisson((1 - eta) k).
+    tagged = _SINGLE_CLASS[cls]
+    tagged[pool_mu] = True
+    tagged[x_rounds] = True
+    t = np.flatnonzero(tagged)
+    ct = cls[t]
+    surv_a = _split(rng, arrived[t], run.share_a[ct])
+    n_a = np.zeros(c, dtype=np.int64)
+    n_b = np.zeros(c, dtype=np.int64)
+    n_a[t] = surv_a + rng.poisson(run.lost_a[ct])
+    n_b[t] = arrived[t] - surv_a + rng.poisson(run.lost_b[ct])
+    o_mu_single = (ct == _O_MU) & (n_b[t] == 1)
+    mu_o_single = (ct == _MU_O) & (n_a[t] == 1)
     silent_single = rng.binomial(silent[[_O_MU, _MU_O]], run.silent_single_probs)
 
     cap = np.iinfo(np.uint8).max
@@ -322,18 +376,17 @@ def _simulate_shard(run: _RunConstants, n: int, seed: int, shard_index: int) -> 
         seed=int(seed),
         e_d_z=params.e_d_z,
         clicks=dict(zip(_CLASS_LABELS, clicks.tolist())),
-        z_o_bob_mu=(ib[pool_o] == _MU),
+        z_o_bob_mu=cls[pool_o] == _O_MU,
         z_o_nb=np.minimum(n_b[pool_o], cap).astype(np.uint8),
-        z_mu_bob_mu=(ib[pool_mu] == _MU),
+        z_mu_bob_mu=cls[pool_mu] == _MU_MU,
         z_mu_na=np.minimum(n_a[pool_mu], cap).astype(np.uint8),
-        z_mu_nb=np.minimum(n_b[pool_mu], cap).astype(np.uint8),
         x_u=u,
-        x_tag10=(n_a[kept] == 1) & (n_b[kept] == 0),
-        x_tag01=(n_a[kept] == 0) & (n_b[kept] == 1),
+        x_tag10=(n_a[x_rounds] == 1) & (n_b[x_rounds] == 0),
+        x_tag01=(n_a[x_rounds] == 0) & (n_b[x_rounds] == 1),
         o_mu_single_rounds=int(o_mu_single.sum() + silent_single[0]),
-        o_mu_single_clicks=int((o_mu_single & success).sum()),
+        o_mu_single_clicks=int((o_mu_single & success[t]).sum()),
         mu_o_single_rounds=int(mu_o_single.sum() + silent_single[1]),
-        mu_o_single_clicks=int((mu_o_single & success).sum()),
+        mu_o_single_clicks=int((mu_o_single & success[t]).sum()),
     )
 
 
@@ -376,16 +429,50 @@ def simulate_rounds(
         shard_rounds, candidates = 2 * shard_rounds, 2.0 * candidates
     jobs = list(enumerate(min(shard_rounds, n_rounds - s) for s in range(0, n_rounds, shard_rounds)))
     workers = min(resolve_threads(threads), len(jobs))
-    if workers == 1:
-        shards = [_simulate_shard(run, size, seed, idx) for idx, size in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(lambda job: _simulate_shard(run, job[1], seed, job[0]), jobs))
 
-    pools = {name: np.concatenate([getattr(s, name) for s in shards]) for name in _POOL_FIELDS}
-    counts = {name: sum(getattr(s, name) for s in shards) for name in _COUNT_FIELDS}
-    clicks = {label: sum(s.clicks[label] for s in shards) for label in _CLASS_LABELS}
-    return replace(shards[0], n_rounds=n_rounds, clicks=clicks, **pools, **counts)
+    def shard(job: tuple[int, int]) -> MonteCarloTally:
+        return _simulate_shard(run, job[1], seed, job[0])
+
+    if workers == 1:
+        return _merge_shards(map(shard, jobs), n_rounds, seed, params.e_d_z)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return _merge_shards(pool.map(shard, jobs), n_rounds, seed, params.e_d_z)
+
+
+def _merge_shards(shards, n_rounds: int, seed: int, e_d_z: float) -> MonteCarloTally:
+    """Merge shard tallies as they arrive, in shard order: counters are
+    summed, and the pools of every _MERGE_SHARDS shards are concatenated
+    into one chunk, so no shard tally outlives its merge."""
+    chunks: dict[str, list[np.ndarray]] = {name: [] for name in _POOL_FIELDS}
+    pending: dict[str, list[np.ndarray]] = {name: [] for name in _POOL_FIELDS}
+    counts = dict.fromkeys(_COUNT_FIELDS, 0)
+    clicks = dict.fromkeys(_CLASS_LABELS, 0)
+    for shard in shards:
+        for name in _POOL_FIELDS:
+            pending[name].append(getattr(shard, name))
+        for name in _COUNT_FIELDS:
+            counts[name] += getattr(shard, name)
+        for label in _CLASS_LABELS:
+            clicks[label] += shard.clicks[label]
+        if len(pending["x_u"]) == _MERGE_SHARDS:
+            for name in _POOL_FIELDS:
+                chunks[name].append(np.concatenate(pending[name]))
+                pending[name].clear()
+    pools = {name: np.concatenate(chunks.pop(name) + pending.pop(name)) for name in _POOL_FIELDS}
+    return MonteCarloTally(n_rounds=n_rounds, seed=int(seed), e_d_z=e_d_z, clicks=clicks, **pools, **counts)
+
+
+def _shuffled(rng: np.random.Generator, **columns: np.ndarray) -> np.ndarray:
+    """A pool's columns as one record array in random order: the order of
+    indexing them by rng.permutation(n), whose draws depend on n alone,
+    without the index array."""
+    events = np.empty(
+        next(iter(columns.values())).shape[0], dtype=[(name, col.dtype) for name, col in columns.items()]
+    )
+    for name, col in columns.items():
+        events[name] = col
+    rng.shuffle(events)
+    return events
 
 
 def post_match_z(tally: MonteCarloTally) -> MonteCarloTally:
@@ -393,38 +480,40 @@ def post_match_z(tally: MonteCarloTally) -> MonteCarloTally:
     pool, apply the second user's equal-intensity discard rule, and classify
     errors (his signal bin equals hers; misalignment flips a pair's class).
 
+    Pairs are classified _Z_MATCH_CHUNK at a time, so the pass holds the two
+    shuffled pools and one chunk's temporaries; the misalignment draws
+    follow the pair order whatever the chunk size.
+
     Returns a copy of the tally with n_z, m_z, z_discarded and the tagged
     single-photon-pair truths set.
     """
     rng = _stream(tally.seed, _Z_MATCH_STREAM)
-    len_o = tally.z_o_bob_mu.shape[0]
-    len_mu = tally.z_mu_bob_mu.shape[0]
-    k = min(len_o, len_mu)
-    sel_o = rng.permutation(len_o)[:k]
-    sel_mu = rng.permutation(len_mu)[:k]
-    flip_draws = rng.random(k)
+    pool_o = _shuffled(rng, bob_mu=tally.z_o_bob_mu, nb=tally.z_o_nb)
+    pool_mu = _shuffled(rng, bob_mu=tally.z_mu_bob_mu, na=tally.z_mu_na)
+    k = min(pool_o.shape[0], pool_mu.shape[0])
+    pool_o, pool_mu = pool_o[:k], pool_mu[:k]
 
-    bob_mu_i = tally.z_o_bob_mu[sel_o]
-    bob_mu_j = tally.z_mu_bob_mu[sel_mu]
-    formed = np.logical_xor(bob_mu_i, bob_mu_j)
-    error_raw = (~bob_mu_i) & bob_mu_j
-    flips = flip_draws < tally.e_d_z
-    errors = formed & np.logical_xor(error_raw, flips)
+    n_z = m_z = s11_z_true = s0mub_true = 0
+    for start in range(0, k, _Z_MATCH_CHUNK):
+        i = pool_o[start : start + _Z_MATCH_CHUNK]
+        j = pool_mu[start : start + _Z_MATCH_CHUNK]
+        flips = rng.random(i.shape[0]) < tally.e_d_z
+        bob_mu_i, bob_mu_j = i["bob_mu"], j["bob_mu"]
+        formed = np.logical_xor(bob_mu_i, bob_mu_j)
+        error_raw = (~bob_mu_i) & bob_mu_j
+        correct_raw = bob_mu_i & (~bob_mu_j)
+        n_z += int(formed.sum())
+        m_z += int((formed & np.logical_xor(error_raw, flips)).sum())
+        s11_z_true += int((correct_raw & (i["nb"] == 1) & (j["na"] == 1)).sum())
+        s0mub_true += int((formed & (j["na"] == 0)).sum())
 
-    nb_i = tally.z_o_nb[sel_o]
-    na_j = tally.z_mu_na[sel_mu]
-    correct_raw = bob_mu_i & (~bob_mu_j)
-    s11_true = correct_raw & (nb_i == 1) & (na_j == 1)
-    s0mub_true = formed & (na_j == 0)
-
-    n_z = int(formed.sum())
     return replace(
         tally,
         n_z=n_z,
-        m_z=int(errors.sum()),
+        m_z=m_z,
         z_discarded=k - n_z,
-        s11_z_true=int(s11_true.sum()),
-        s0mub_true=int(s0mub_true.sum()),
+        s11_z_true=s11_z_true,
+        s0mub_true=s0mub_true,
     )
 
 
@@ -484,6 +573,21 @@ class ComparisonRow:
     observed: float
     expected: float
     z_score: float
+    # exact two-sided Poisson tail of the observed count
+    tail: float
+
+
+def poisson_two_sided_tail(observed: float, expected: float) -> float:
+    """Chance that a Poisson(expected) count lies at least as far out as
+    observed on its side: twice the one-sided tail, capped at 1."""
+    # scipy costs about 0.3 s to import, so only a comparison pays for it
+    from scipy.special import gammainc, gammaincc
+
+    k = round(observed)
+    if expected <= 0.0:
+        return 1.0 if k == 0 else 0.0
+    one_sided = gammainc(k, expected) if k >= expected else gammaincc(k + 1, expected)
+    return min(1.0, 2.0 * float(one_sided))
 
 
 def compare_with_analytics(
@@ -493,12 +597,14 @@ def compare_with_analytics(
     geom: LinkGeometry,
     params: SystemParams,
 ) -> list[ComparisonRow]:
-    """Observed-vs-expected rows with z = (obs - exp)/sqrt(exp).
+    """Observed-vs-expected rows with z = (obs - exp)/sqrt(exp) and the
+    exact two-sided Poisson tail of the observed count.
 
     Expectations are the analytic formulas evaluated at N = n_rounds; the
     X error expectation uses the first-principles form, the one the click
     model actually realizes.  m_x counts two events per error pair, so its
-    variance is about 2 exp and its row uses z = (obs - exp)/sqrt(2 exp).
+    variance is about 2 exp: its row uses z = (obs - exp)/sqrt(2 exp) and
+    takes its tail in pair units, obs/2 against exp/2.
     """
     scaled = replace(params, N=float(tally.n_rounds))
     counts = observed_statistics(a, b, geom, scaled)
@@ -506,7 +612,8 @@ def compare_with_analytics(
 
     def add(name: str, observed: float, expected: float, units: float = 1.0) -> None:
         se = math.sqrt(units * expected) if expected > 0.0 else 1.0
-        rows.append(ComparisonRow(name, observed, expected, (observed - expected) / se))
+        tail = poisson_two_sided_tail(observed / units, expected / units)
+        rows.append(ComparisonRow(name, observed, expected, (observed - expected) / se, tail))
 
     for la in INTENSITY_LABELS:
         for lb in INTENSITY_LABELS:

@@ -19,6 +19,7 @@ from tfkeyrate.cli import (
     main,
 )
 from tfkeyrate.diagnostics import plob_bound
+from tfkeyrate.event_simulator import ComparisonRow, poisson_two_sided_tail
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -578,6 +579,33 @@ def test_round_count_beyond_int64_exits_2_quickly(tmp_path, capsys, rounds):
     doc = json.loads(open(_shipped("montecarlo_toy.json"), encoding="utf-8").read())
     doc["montecarlo"]["rounds"] = rounds
     _exits_2_quickly(tmp_path, capsys, "montecarlo", doc, "montecarlo.rounds")
+
+
+def test_non_integer_thread_variable_exits_2(tmp_path, capsys, monkeypatch):
+    # the parent ended this run with a ValueError traceback (exit 1)
+    monkeypatch.setenv("TFKEYRATE_THREADS", "abc")
+    doc = json.loads(open(_shipped("montecarlo_toy.json"), encoding="utf-8").read())
+    doc["montecarlo"]["rounds"] = 3_000_000
+    _exits_2_quickly(tmp_path, capsys, "montecarlo", doc, "TFKEYRATE_THREADS")
+
+
+def test_montecarlo_flags_rows_by_their_exact_tail(tmp_path, monkeypatch):
+    # A tiny expectation observed once has z = 5.2 but a tail of 0.07; the
+    # |z| > 3 rule flagged about 18 % of correct A-C reports that way.
+    def row(name, observed, expected):
+        z = (observed - expected) / math.sqrt(expected)
+        return ComparisonRow(name, observed, expected, z, poisson_two_sided_tail(observed, expected))
+
+    rows = [row("gain[o,o]", 1.0, 0.035), row("n_z", 230.0, 200.0), row("n_x", 250.0, 200.0)]
+    monkeypatch.setattr(cli, "compare_with_analytics", lambda *args: rows)
+    doc = json.loads(open(_shipped("montecarlo_toy.json"), encoding="utf-8").read())
+    doc["montecarlo"]["rounds"] = 100_000
+    out = tmp_path / "report.json"
+    assert main(["montecarlo", "--config", _write(tmp_path, doc), "--out", str(out)]) == 0
+    results = json.loads(out.read_text(encoding="utf-8"))["results"]
+    assert [r["tail"] for r in results["comparison"]] == [float(f"{r.tail:.12g}") for r in rows]
+    assert rows[0].z_score > 3.0 and rows[1].tail > cli.FLAG_TAIL > rows[2].tail
+    assert results["flagged"] == ["n_x"]
 
 
 def test_largest_int64_round_count_is_accepted(tmp_path):

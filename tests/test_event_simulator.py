@@ -38,6 +38,7 @@ from tfkeyrate.event_simulator import (
     _stream,
     compare_with_analytics,
     oracle_tally,
+    poisson_two_sided_tail,
     post_match_x,
     post_match_z,
     resolve_threads,
@@ -132,7 +133,6 @@ def _dense_shard(run, n, seed, shard_index):
         z_o_nb=np.minimum(n_b[pool_o], cap).astype(np.uint8),
         z_mu_bob_mu=(ib[pool_mu] == _MU),
         z_mu_na=np.minimum(n_a[pool_mu], cap).astype(np.uint8),
-        z_mu_nb=np.minimum(n_b[pool_mu], cap).astype(np.uint8),
         x_u=u,
         x_tag10=(n_a[kept] == 1) & (n_b[kept] == 0),
         x_tag01=(n_a[kept] == 0) & (n_b[kept] == 1),
@@ -157,15 +157,28 @@ def _poisson_two_sided(observed, expected):
 
 
 # Each check below fails by chance with probability at most DIST_P_MIN;
-# there are about 230 of them over the three links.
+# there are about 310 of them over the four links.
 DIST_SEEDS = 30
 DIST_P_MIN = 1e-5
 
 
+def _dark_toy_config():
+    """The toy link with a dark count on either detector in about one round
+    of 50: a dark count beside a photon, and clicks of the vacuum classes,
+    come in the hundreds."""
+    a, b, geom, params = mc_toy_config()
+    return a, b, geom, dataclasses.replace(params, p_d=1e-2)
+
+
 @pytest.mark.parametrize(
     "config, n_rounds",
-    [(mc_symmetric_config, 300_000), (mc_asymmetric_config, 150_000), (mc_toy_config, 100_000)],
-    ids=["symmetric", "asymmetric", "toy"],
+    [
+        (mc_symmetric_config, 300_000),
+        (mc_asymmetric_config, 150_000),
+        (mc_toy_config, 100_000),
+        (_dark_toy_config, 100_000),
+    ],
+    ids=["symmetric", "asymmetric", "toy", "dark_toy"],
 )
 def test_sparse_shard_matches_the_dense_reference_in_distribution(monkeypatch, config, n_rounds):
     a, b, geom, params = config()
@@ -211,6 +224,22 @@ def test_x_pairing_mixes_dark_and_photon_events():
     rows = {r.name: r for r in compare_with_analytics(tally, a, b, geom, dark)}
     assert tally.m_x > 200
     assert _poisson_two_sided(rows["m_x"].observed / 2.0, rows["m_x"].expected / 2.0) > DIST_P_MIN
+
+
+def test_clicks_follow_the_analytics_where_dark_counts_are_common():
+    # Only dark counts click the four vacuum classes, whose declared-vacuum
+    # total x_oo_d feeds the yield bounds and s0mub.  In the lit classes a
+    # dark count falls beside a photon in about one round of 50; such a
+    # round clicks once only when both land on the same side.
+    a, b, geom, params = _dark_toy_config()
+    n_rounds = 10_000_000
+    observed = oracle_tally(a, b, geom, params, n_rounds, seed=20260814).observed_counts()
+    expected = observed_statistics(a, b, geom, dataclasses.replace(params, N=float(n_rounds)))
+    for label in _CLASS_LABELS:
+        assert expected.x[label] > 500.0, label
+        assert _poisson_two_sided(observed.x[label], expected.x[label]) > DIST_P_MIN, label
+    assert _poisson_two_sided(sum(observed.x.values()), sum(expected.x.values())) > DIST_P_MIN
+    assert _poisson_two_sided(observed.x_oo_d, expected.x_oo_d) > DIST_P_MIN
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +299,19 @@ def test_serial_and_pooled_shards_give_identical_tallies(monkeypatch, config, n_
     assert sum(serial.clicks.values()) > 0
     for name in _POOL_FIELDS:
         x, y = getattr(serial, name), getattr(pooled, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def test_merge_and_match_chunks_do_not_change_the_tally(monkeypatch):
+    a, b, geom, params = mc_toy_config()
+    whole = oracle_tally(a, b, geom, params, 2_500_000, seed=13)
+    monkeypatch.setattr(event_simulator, "_MERGE_SHARDS", 1)
+    monkeypatch.setattr(event_simulator, "_Z_MATCH_CHUNK", 1000)
+    chunked = oracle_tally(a, b, geom, params, 2_500_000, seed=13)
+    assert chunked.n_z > 10 * 1000
+    assert chunked.summary() == whole.summary()
+    for name in _POOL_FIELDS:
+        x, y = getattr(whole, name), getattr(chunked, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
@@ -394,6 +436,18 @@ def test_m_x_z_score_counts_two_events_per_error_pair(toy_tally):
     row = {r.name: r for r in compare_with_analytics(toy_tally, a, b, geom, params)}["m_x"]
     assert row.observed == toy_tally.m_x
     assert row.z_score == (row.observed - row.expected) / math.sqrt(2.0 * row.expected)
+
+
+def test_comparison_tails_are_exact_poisson_tails(toy_tally):
+    a, b, geom, params = mc_toy_config()
+    for row in compare_with_analytics(toy_tally, a, b, geom, params):
+        units = 2.0 if row.name == "m_x" else 1.0
+        exact = min(1.0, _poisson_two_sided(row.observed / units, row.expected / units))
+        assert row.tail == pytest.approx(exact, rel=1e-9, abs=0.0), row.name
+    # one click where 0.035 are expected: z = 5.2, yet as likely as 7 %
+    assert poisson_two_sided_tail(1, 0.035) == pytest.approx(2.0 * -math.expm1(-0.035), rel=1e-12)
+    assert poisson_two_sided_tail(0, 0.0) == 1.0
+    assert poisson_two_sided_tail(1, 0.0) == 0.0
 
 
 def test_tagged_z_yield_matches_singles_product():
