@@ -6,7 +6,9 @@ at ingestion.  Validation is strict: unknown fields anywhere in the
 document are rejected before any computation or output-file access.  One
 field table per block, (reader, default) per field, drives both the
 validation and the resolved echo.  Seeds, in the config or from --seed,
-must lie in [0, 2**63), and montecarlo.rounds in [1, 2**63).
+must lie in [0, 2**63), montecarlo.rounds in [1, 2**63), and the optimizer
+starts (scan.n_starts, scan.warm_random_starts, network.n_starts) in
+[0, MAX_STARTS].
 
 Exit codes: 0 success (a zero rate is a valid answer), 2 configuration or
 validation error, or settings the model cannot evaluate (a declared or
@@ -134,6 +136,17 @@ def _integer_from(low: int):
 
 _seed = _integer_from(0)
 
+# Random optimizer starts a scan or network may ask for per link: each costs
+# a local optimization, so 1,000 already runs for hours.
+MAX_STARTS = 1_000
+
+
+def _starts(where: str, v: Any) -> int:
+    n = _integer(where, v)
+    if not 0 <= n <= MAX_STARTS:
+        raise ConfigError(f"{where}: must be in [0, {MAX_STARTS}]")
+    return n
+
 
 def _boolean(where: str, v: Any) -> bool:
     if not isinstance(v, bool):
@@ -233,15 +246,15 @@ SCAN = {
     "grid_km": (_grid, REQUIRED),
     "channel": (_choice(("symmetric", "asymmetric")), "symmetric"),
     "offset_km": (_number, 0.0),
-    "n_starts": (_integer, 8),
-    "warm_random_starts": (_integer, 4),
+    "n_starts": (_starts, 8),
+    "warm_random_starts": (_starts, 4),
     "seed": (_seed, 0),
 }
 NETWORK = {
     "anchors": (_anchors, []),
     "optimize_anchors": (_boolean, True),
     "orientation": (_choice(ORIENTATION_POLICIES), "nearer_alice"),
-    "n_starts": (_integer, 16),
+    "n_starts": (_starts, 16),
     "seed": (_seed, 0),
 }
 MONTECARLO = {
@@ -500,12 +513,14 @@ def cmd_montecarlo(doc: ScenarioDocument, args: argparse.Namespace) -> int:
     a, b = near.setting, far.setting
     seed = args.seed if args.seed is not None else doc.montecarlo["seed"]
     rounds = doc.montecarlo["rounds"]
+    # --threads and TFKEYRATE_THREADS are still accepted and checked, though
+    # the shards run one after another
     try:
-        threads = resolve_threads(args.threads)
+        resolve_threads(args.threads)
     except ValueError as exc:  # a TFKEYRATE_THREADS that is not an integer
         raise ConfigError(str(exc)) from exc
 
-    tally = oracle_tally(a, b, geom, doc.params, rounds, seed, threads=threads)
+    tally = oracle_tally(a, b, geom, doc.params, rounds, seed)
     rows = compare_with_analytics(tally, a, b, geom, doc.params)
     flagged = [r.name for r in rows if r.tail < FLAG_TAIL]
 
@@ -617,9 +632,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="upper bound on the worker threads for the montecarlo shards only; "
-                       "shards are sized by their expected candidate rounds, and threads pay from "
-                       "the second shard on (default: TFKEYRATE_THREADS or 1)")
+                       help="accepted for compatibility and changes nothing: montecarlo shards "
+                       "run one after another (TFKEYRATE_THREADS, if set, must be an integer)")
         p.add_argument("--asymptotic", action="store_true",
                        help="asymptotic mode (keyrate and network)")
     return parser

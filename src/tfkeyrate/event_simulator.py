@@ -2,46 +2,29 @@
 
 The simulator realizes the exact click statistics of interfering
 phase-randomized coherent pulses: arrivals at the two detectors are
-independent Poisson variables with means M/2 +- w cos(Theta), realized by
-splitting the arrived photons binomially.  Emitted photon numbers are kept
-as tags so the decoy-state lower bounds can be compared against ground
-truth.
+independent Poisson variables with means M/2 +- w cos(Theta).  Emitted
+photon numbers are kept as tags so the decoy-state lower bounds can be
+compared against ground truth.
 
-It is event-sparse: per shard it draws the 16 intensity-class round counts,
-then per class how many rounds have at least one arriving photon (chance
-1 - e^-M whatever the phase), a left dark count or a right dark count.  Only
-those candidate rounds, the only ones that can click, get arrival numbers;
-they are kept in random order, independent of their outcomes.  Each further
-quantity is drawn only for the rounds whose tally fields read it:
-- the phase for every (nu, nu) round, whose X-slice membership reads it;
-- the phase, the bits and the detector split (one uniform per arrived
-  photon) for rounds with two or more arrived photons, a dark count beside
-  a photon, or a (nu, nu) round in the slice.  A lone photon without a dark
-  count clicks exactly one detector whatever the phase and the bits, and
-  dark counts alone click by their pattern;
-- the arm split and the lost photons (the photon tags) for the mu pool,
-  the X events and the rounds of the (o, mu) and (mu, o) classes, whose
-  single-photon ground truth counts every round.
-The tallies have the same joint distribution as drawing every round, at a
-cost of O(events) plus O(classes x shards).
+It works with counts: per shard it draws the 16 intensity-class round
+counts, then per class the counts of the 8 flag patterns (an arriving
+photon, chance 1 - e^-M whatever the phase; a left and a right dark count).
+Only rounds with two or more arrived photons, a dark count beside a photon,
+or (nu, nu) rounds inside the X phase slice (chance delta/pi) get per-round
+draws.  A lone photon without a dark count clicks exactly one detector
+whatever the phase and the bits, and dark counts alone click by their
+pattern, so those rounds stay counts, with photon tags multinomial over
+(n_a, n_b) in {0, 1, >= 2}^2.  The tallies have the joint distribution of
+drawing every round, at a cost of O(per-round rows + pool events) per shard.
 
 Every result is one frozen MonteCarloTally: each shard returns the tally of
-its own rounds, simulate_rounds merges them in shard order as they finish,
-and the Z and X matching passes return a new tally with their fields set,
-leaving their argument unchanged.
+its own rounds, simulate_rounds merges them in shard order, and the Z and X
+matching passes return a new tally with their fields set.
 
-Determinism: rounds are partitioned into shards, each driven by a
-counter-based Philox stream keyed by (seed, shard index); the two matching
-passes use dedicated streams.  Shard sizes depend on the configuration and
-the round count alone, so tallies are bit-exact functions of (seed,
-configuration, rounds) regardless of thread count.
-
-Threads: a shard costs its candidate rounds plus about 0.2 ms of fixed
-numpy calls that hold the interpreter lock, so shards double from
-SHARD_ROUNDS rounds until one expects TARGET_CANDIDATES candidates or covers
-the run.  The thread count is an upper bound: one shard runs serially, and
-from the second shard on the shards, which share the per-class constants,
-go to a thread pool.
+Determinism: each shard draws from a counter-based Philox stream keyed by
+(seed, shard index), the Z matching pass from a dedicated one.  Shard sizes
+depend on the configuration and the round count alone, so tallies are
+bit-exact functions of (seed, configuration, rounds).
 """
 
 from __future__ import annotations
@@ -49,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,50 +47,50 @@ from .channel_model import (
 
 SHARD_ROUNDS = 1_000_000
 
-# Expected candidate rounds from which a shard stops doubling.  simulate_rounds
-# of 1e7 rounds in 10 shards at threads=2 on lengthened toy links (2 vCPU): the
-# thread pool beats serial shards from 6.2k candidates per shard up (28k: 140 ms
-# serial against 88 ms pooled), so at 20k every run of two shards or more uses it.
-TARGET_CANDIDATES = 20_000
+# Expected per-round rows from which a shard stops doubling.  1e7 toy rounds
+# (2 vCPU, median of 30): 25.5 ms in 1e6-round shards (12.7k rows), 23.9 ms
+# at 20k, 26.5 ms at 50k, 30.5 ms in one shard; two threads were slower.
+TARGET_ROWS = 20_000
 
-# Shards whose pools simulate_rounds concatenates into one chunk: worker
-# threads allocate a shard's small pools among its temporaries, and copying
-# them out in batches lets the threads reuse that memory.
+# Shards whose pools simulate_rounds concatenates into one chunk, so that
+# later shards reuse the memory of the small pools copied out
 _MERGE_SHARDS = 32
 
 # Pairs post_match_z classifies per step
 _Z_MATCH_CHUNK = 1 << 18
 
-# Philox stream ids: shard index for round generation, plus two reserved
-# streams for the Z and X matching passes
+# Philox stream id of the Z matching pass; shards use their index
 _Z_MATCH_STREAM = 1 << 62
-_X_MATCH_STREAM = (1 << 62) + 1
 
 # intensity codes in INTENSITY_LABELS order; class 4 i + j is the label
 # pair _CLASS_LABELS[4 i + j]
 _MU, _NU, _O, _OHAT = 0, 1, 2, 3
 _CLASS_LABELS = tuple(itertools.product(INTENSITY_LABELS, repeat=2))
 _MU_MU, _NU_NU = 4 * _MU + _MU, 4 * _NU + _NU
-# the classes of the single-photon ground truth
-_O_MU, _MU_O = 4 * _O + _MU, 4 * _MU + _O
-_CLASSES = np.arange(16)
-_SINGLE_CLASS = np.isin(_CLASSES, [_O_MU, _MU_O])
-# the classes whose clicks join the Z pools: the first user sent o / mu, the
-# second o or mu
-_POOL_O = np.isin(_CLASSES, [4 * _O + _O, _O_MU])
-_POOL_MU = np.isin(_CLASSES, [_MU_MU, _MU_O])
+_O_O, _O_MU, _MU_O = 4 * _O + _O, 4 * _O + _MU, 4 * _MU + _O
+# The classes whose clicks join the Z pools (first user o, then mu; second
+# user o, then mu); (o, mu) and (mu, o) also carry the single-photon truth.
+_POOL_CLASSES = [_O_O, _O_MU, _MU_O, _MU_MU]
+# second-user flag and photon category (0, 1, >= 2) of a pool's 6 categories
+_POOL_BOB_MU = np.repeat([False, True], 3)
+_POOL_PHOTONS = np.tile(np.arange(3, dtype=np.uint8), 2)
 
-# Flag patterns of a round that can click: bit 0 at least one photon
-# arrives, bit 1 a left dark count, bit 2 a right dark count.
-_PATTERNS = np.arange(1, 8)
+# Flag patterns of a round: bit 0 at least one photon arrives, bit 1 a left
+# dark count, bit 2 a right dark count; the silent pattern 0 comes last.
+_PATTERNS = np.array([1, 2, 3, 4, 5, 6, 7, 0])
 _N_PATTERNS = _PATTERNS.shape[0]
 _ARRIVAL = (_PATTERNS & 1) != 0
 _DARK_L = (_PATTERNS & 2) != 0
 _DARK_R = (_PATTERNS & 4) != 0
 _DARK_BESIDE_PHOTON = _ARRIVAL & (_DARK_L | _DARK_R)
-# success of a round that needs no detector split: a lone photon clicks one
-# detector, dark counts alone click where they fall
-_UNSPLIT_SUCCESS = _ARRIVAL ^ _DARK_L ^ _DARK_R
+_DARK_CLICK = ~_ARRIVAL & (_DARK_L ^ _DARK_R)
+_NO_CLICK = ~_ARRIVAL & (_DARK_L == _DARK_R)
+# photon categories (0, 1, >= 2) of a count, times this: those of one more
+_ONE_MORE = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+# Per-round rows come in 17 groups, those with photon tags first: 0 is the
+# (nu, nu) rounds in the slice, 1-4 the pool classes, then the other classes.
+_GROUP_CLASS = np.array([_NU_NU, *_POOL_CLASSES, *(c for c in range(16) if c not in _POOL_CLASSES)])
+_TAGGED_GROUPS = 5
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -121,20 +103,21 @@ class MonteCarloTally:
 
     Event pools keep one row per successful click so that the matching
     passes can run globally (pairing within shards would bias the pair
-    count through per-shard pool-size fluctuations).
+    count through per-shard pool-size fluctuations).  A pool row holds the
+    photon count its pair reads, capped at 2: 0, 1, or 2 and more.
     """
 
     n_rounds: int
     seed: int
     e_d_z: float
     clicks: dict[tuple[str, str], int]
-    # Z pools, shard by shard in random order within a shard: events where
-    # the first user sent o / mu
+    # Z pools, shard by shard, grouped by category within a shard (the Z
+    # matching shuffles them): events where the first user sent o / mu
     z_o_bob_mu: np.ndarray
     z_o_nb: np.ndarray
     z_mu_bob_mu: np.ndarray
     z_mu_na: np.ndarray
-    # X events inside the phase slice, in the same order
+    # X events inside the phase slice, in random order within each shard
     x_u: np.ndarray
     x_tag10: np.ndarray
     x_tag01: np.ndarray
@@ -204,7 +187,7 @@ class _RunConstants:
     reads; class 4 i + j has intensity codes (i, j).
 
     Built once per run and shared read-only by the shards.  The expected
-    candidate rounds per SHARD_ROUNDS rounds decide the shard size.
+    per-round rows per SHARD_ROUNDS rounds decide the shard size.
     """
 
     a: SourceSetting
@@ -214,18 +197,31 @@ class _RunConstants:
     # send probabilities of the 16 classes, normalized: they may miss 1 by
     # the validation tolerance
     class_probs: np.ndarray
-    # per class, the chances of the 7 flag patterns of a candidate round
-    # and, last column, of a silent round
+    # per class, the chances of the 8 flag patterns in _PATTERNS order
     pattern_probs: np.ndarray
-    mean_total: np.ndarray
+    # class c's entry for k = 1 .. arrival_len is c + P(arrived <= k | >= 1)
+    arrival_cdf: np.ndarray
+    arrival_len: int
+    # per class, P(one photon | >= 1)
+    lone_probs: np.ndarray
+    # per row group, the phase range [lo, lo + width) on each arm
+    phase_lo: np.ndarray
+    phase_width: np.ndarray
     lost_a: np.ndarray
     lost_b: np.ndarray
     share_a: np.ndarray
     visibility: np.ndarray
-    # chance that a silent (o, mu) round held one photon of the second
-    # user, and a silent (mu, o) round one of the first
-    silent_single_probs: np.ndarray
-    candidates_per_shard: float
+    # per pool class, chances of the tags (min(n_a, 2), min(n_b, 2)) of a
+    # lone-photon, a dark-only and a no-arrival no-click round: (4, 3, 9)
+    tag_probs: np.ndarray
+    rows_per_shard: float
+
+
+def _photon_categories(mean: np.ndarray) -> np.ndarray:
+    """Chances that a Poisson(mean) count is 0, 1, or 2 and more."""
+    p0 = np.exp(-mean)
+    p1 = mean * p0
+    return np.stack([p0, p1, np.maximum(-np.expm1(-mean) - p1, 0.0)], axis=-1)
 
 
 def _run_constants(
@@ -247,146 +243,152 @@ def _run_constants(
 
     # Each round independently has an arrival (prob 1 - e^-M, whatever the
     # phase), a left dark count and a right dark count (prob p_d each).  The
-    # counts of the 8 flag patterns per class are therefore multinomial;
-    # silent rounds (none of the three) never click.
-    none = np.exp(-mean_total)[:, None]
+    # counts of the 8 flag patterns per class are therefore multinomial.
     pattern_probs = (
-        np.where(_ARRIVAL, -np.expm1(-mean_total)[:, None], none)
+        np.where(_ARRIVAL, -np.expm1(-mean_total)[:, None], np.exp(-mean_total)[:, None])
         * np.where(_DARK_L, p_d, 1.0 - p_d)
         * np.where(_DARK_R, p_d, 1.0 - p_d)
     )
-    silent_probs = none * (1.0 - p_d) ** 2
+
+    # Poisson(M) given >= 1, tabulated far enough into the tail (12 standard
+    # deviations and 30 more) that the rest is below rounding: relative to
+    # k = 1, the chance of k is prod_{j=2..k} M / j.
+    m_max = float(mean_total.max())
+    k = np.arange(1, math.ceil(m_max + 12.0 * math.sqrt(m_max)) + 31)
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(mean_total)[:, None] - np.log(k)
+    log_ratio[:, 0] = 0.0
+    log_q = np.cumsum(log_ratio, axis=1)
+    cdf = np.cumsum(np.exp(log_q - log_q.max(axis=1, keepdims=True)), axis=1)
+    cdf /= cdf[:, -1:]
+    lone_probs = cdf[:, 0]
+
+    slice_prob = params.delta / math.pi
+    outside = (_GROUP_CLASS == _NU_NU) & (np.arange(17) > 0)
+    phase_lo = params.sigma % (2.0 * math.pi) + params.delta * outside
+    phase_width = np.where(outside, math.pi - params.delta, math.pi)
+    phase_width[0] = params.delta
+
+    # A lone photon came from the first user with chance share_a; lost
+    # photons are Poisson((1 - eta) k) on each side, whatever arrived.
     lost_a = (1.0 - eta_a) * k_a
     lost_b = (1.0 - eta_b) * k_b
-    lam = np.array([lost_b[_O_MU], lost_a[_MU_O]])
+    share_a = np.divide(arrive_a, mean_total, out=np.zeros(16), where=lit)
+    cats_a = _photon_categories(lost_a[_POOL_CLASSES])[:, :, None]
+    cats_b = _photon_categories(lost_b[_POOL_CLASSES])[:, None, :]
+    share = share_a[_POOL_CLASSES, None, None]
+    lone_tags = share * (_ONE_MORE.T @ cats_a) * cats_b + (1.0 - share) * cats_a * (cats_b @ _ONE_MORE)
+    tag_probs = np.stack([lone_tags, cats_a * cats_b, cats_a * cats_b], axis=1).reshape(4, 3, 9)
+
+    # expected per-round rows: multi-photon and dark-beside-photon rounds,
+    # and for (nu, nu) every candidate round inside the slice
+    per_round = pattern_probs[:, 0] * (1.0 - lone_probs) + pattern_probs @ _DARK_BESIDE_PHOTON
+    per_round[_NU_NU] += slice_prob * (pattern_probs[_NU_NU] @ (_PATTERNS != 0) - per_round[_NU_NU])
     return _RunConstants(
-        a=a,
-        b=b,
-        geom=geom,
-        params=params,
+        a=a, b=b, geom=geom, params=params,
         class_probs=class_probs,
-        pattern_probs=np.hstack([pattern_probs, silent_probs]),
-        mean_total=mean_total,
+        pattern_probs=pattern_probs,
+        arrival_cdf=(np.arange(16)[:, None] + cdf).ravel(),
+        arrival_len=k.shape[0],
+        lone_probs=lone_probs,
+        phase_lo=phase_lo,
+        phase_width=phase_width,
         lost_a=lost_a,
         lost_b=lost_b,
-        share_a=np.divide(arrive_a, mean_total, out=np.zeros(16), where=lit),
+        share_a=share_a,
         visibility=np.divide(np.sqrt(arrive_a * arrive_b), mean_total, out=np.zeros(16), where=lit),
-        silent_single_probs=lam * np.exp(-lam),
-        candidates_per_shard=SHARD_ROUNDS * float(class_probs @ pattern_probs.sum(axis=1)),
+        tag_probs=tag_probs,
+        rows_per_shard=SHARD_ROUNDS * float(class_probs @ per_round),
     )
-
-
-def _split(rng: np.random.Generator, photons: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Per round, how many of its photons take a branch of chance p: one
-    uniform per photon, counted per round (Binomial(photons, p))."""
-    owner = np.repeat(np.arange(photons.shape[0]), photons)
-    return np.bincount(owner[rng.random(owner.shape[0]) < p[owner]], minlength=photons.shape[0])
 
 
 def _simulate_shard(run: _RunConstants, n: int, seed: int, shard_index: int) -> MonteCarloTally:
     rng = _stream(seed, shard_index)
-    params = run.params
-    two_pi = 2.0 * math.pi
 
-    # fixed draw order: class counts, flag patterns, candidate order,
-    # arrivals, (nu, nu) phases, the other split rounds' phases, bits,
-    # detector split, arm split, lost photons, silent singles
+    # fixed draw order: class counts, flag patterns, slice rounds, lone
+    # photons; per row arrivals, phase bits, phases, detector outcomes, arm
+    # split and lost photons; the X event order; the other rounds' tags
     class_counts = rng.multinomial(n, run.class_probs)
-    pattern_counts = rng.multinomial(class_counts, run.pattern_probs)
-    silent = pattern_counts[:, -1]
+    counts = rng.multinomial(class_counts, run.pattern_probs)
+    slice_counts = rng.binomial(counts[_NU_NU] * (_PATTERNS != 0), run.params.delta / math.pi)
+    counts[_NU_NU] -= slice_counts
+    lone = rng.binomial(counts[:, 0], run.lone_probs)
 
-    # Candidates in random order: X matching pairs retained events in
-    # arrival order, so the order must not depend on their outcomes.
-    code = np.repeat(np.arange(16 * _N_PATTERNS), pattern_counts[:, :-1].ravel())
-    rng.shuffle(code)
-    cls, pat = np.divmod(code, _N_PATTERNS)
-    arrival = _ARRIVAL[pat]
-    c = code.shape[0]
+    # One row per round with two photons or more, a dark count beside a
+    # photon, or a (nu, nu) candidate in the slice, in group order
+    per_round = counts * _DARK_BESIDE_PHOTON
+    per_round[:, 0] = counts[:, 0] - lone
+    row_counts = np.concatenate([slice_counts, per_round[_GROUP_CLASS[1:]].ravel()])
+    code = np.repeat(np.arange(17 * _N_PATTERNS), row_counts)
+    group, pat = np.divmod(code, _N_PATTERNS)
+    cls = _GROUP_CLASS[group]
+    r = code.shape[0]
 
-    # Zero-truncated Poisson(M) arrivals: the first arrival time T of a
-    # rate-M Poisson process on [0, 1] conditioned on T < 1, by inverting its
-    # distribution function, then Poisson(M (1 - T)) more.  M (1 - T) is
-    # clamped at 0 against rounding.
-    m = run.mean_total[cls[arrival]]
-    remaining = np.maximum(m + np.log1p(rng.random(m.shape[0]) * np.expm1(-m)), 0.0)
-    arrived = np.zeros(c, dtype=np.int64)
-    arrived[arrival] = 1 + rng.poisson(remaining)
+    # Arrivals by inverting the tabulated distribution function at a uniform,
+    # drawn above the lone-photon chance for the multi-photon rows; the clip
+    # keeps a u that rounds to 1 inside the row's class
+    floor = np.where((pat == 0) & (group > 0), run.lone_probs[cls], 0.0)
+    u = floor + rng.random(r) * (1.0 - floor)
+    k = np.searchsorted(run.arrival_cdf, cls + u, side="right") - cls * run.arrival_len
+    arrived = np.where(_ARRIVAL[pat], 1 + np.minimum(k, run.arrival_len - 1), 0)
 
-    # theta_a - theta_b + phi_ab is uniform on [0, 2 pi): one draw suffices.
-    # The slice reads it for every (nu, nu) round.
-    nunu = np.flatnonzero(cls == _NU_NU)
-    theta = np.empty(c)
-    theta[nunu] = rng.random(nunu.shape[0]) * two_pi
-    folded = np.mod(theta[nunu] - params.sigma, two_pi)
-    in_slice = np.mod(folded, math.pi) < params.delta
-    slice_rounds, arm = nunu[in_slice], folded[in_slice] >= math.pi
+    # theta_a - theta_b + phi_ab lies on one of two opposite arms of the
+    # row's phase range; differing bits shift it by pi, so one bit (the bits'
+    # parity xor the arm) picks it.  One uniform v decides the detector: all
+    # photons go left below p^k, right from 1 - (1 - p)^k.
+    bit = rng.integers(0, 2, size=r, dtype=bool)
+    theta = run.phase_lo[group] + bit * math.pi + rng.random(r) * run.phase_width[group]
+    p_left = 0.5 + run.visibility[cls] * np.cos(theta)
+    v = rng.random(r)
+    click_left = (v < 1.0 - (1.0 - p_left) ** arrived) | _DARK_L[pat]
+    click_right = (v >= p_left**arrived) | _DARK_R[pat]
+    success = click_left ^ click_right
 
-    # A lone photon clicks exactly one detector whatever the phase and the
-    # bits, and dark counts alone click by their pattern.  Only rounds with
-    # two photons or more, a dark count beside a photon, or a (nu, nu) round
-    # in the slice (its parity reads the bits and the detector) are split.
-    split = (arrived > 1) | _DARK_BESIDE_PHOTON[pat]
-    split[slice_rounds] = True
-    idx = np.flatnonzero(split)
-    others = idx[cls[idx] != _NU_NU]
-    theta[others] = rng.random(others.shape[0]) * two_pi
-    # differing encoded bits shift the relative phase by pi
-    flip = rng.integers(0, 2, size=idx.shape[0], dtype=bool)
-    p_left = np.clip(
-        0.5 + np.where(flip, -1.0, 1.0) * run.visibility[cls[idx]] * np.cos(theta[idx]), 0.0, 1.0
-    )
-    left = _split(rng, arrived[idx], p_left)
-    click_right = (arrived[idx] - left > 0) | _DARK_R[pat[idx]]
-    split_success = ((left > 0) | _DARK_L[pat[idx]]) ^ click_right
+    # Photon tags of the tagged groups' rows, a prefix of the rows: each
+    # arrived photon came from the first user with chance share_a (one
+    # uniform per photon), and lost photons are Poisson
+    tagged = row_counts[: _TAGGED_GROUPS * _N_PATTERNS].sum()
+    owner = np.repeat(np.arange(tagged), arrived[:tagged])
+    surv_a = np.bincount(owner[rng.random(owner.shape[0]) < run.share_a[cls[owner]]], minlength=tagged)
+    n_a = surv_a + rng.poisson(run.lost_a[cls[:tagged]])
+    n_b = arrived[:tagged] - surv_a + rng.poisson(run.lost_b[cls[:tagged]])
 
-    success = _UNSPLIT_SUCCESS[pat]
-    success[idx] = split_success
-    clicks = np.bincount(cls[success], minlength=16)
-    pool_o = np.flatnonzero(success & _POOL_O[cls])
-    pool_mu = np.flatnonzero(success & _POOL_MU[cls])
+    # X events, the clicked rows of group 0, in random order: X matching
+    # pairs them in arrival order, which must not depend on their outcomes
+    x = np.flatnonzero(success[: slice_counts.sum()])
+    x = x[rng.permutation(x.shape[0])]
 
-    # the slice rounds among the split ones; a kept event's parity folds in
-    # the bits, the arm and the detector that clicked
-    at = np.searchsorted(idx, slice_rounds)
-    kept = split_success[at]
-    x_rounds = slice_rounds[kept]
-    u = flip[at][kept] ^ arm[kept] ^ click_right[at][kept]
+    # The pool classes' tag categories by (class, clicked, n_a, n_b): counts
+    # for lone-photon and dark-only rounds, per row for the others.
+    unsplit = np.stack([lone, counts @ _DARK_CLICK, counts @ _NO_CLICK], axis=1)[_POOL_CLASSES]
+    tags = rng.multinomial(unsplit, run.tag_probs).reshape(4, 3, 3, 3)
+    slot = np.where(success[:tagged], 0, _TAGGED_GROUPS) + group[:tagged]
+    row_cat = slot * 9 + 3 * np.minimum(n_a, 2) + np.minimum(n_b, 2)
+    row_tags = np.bincount(row_cat, minlength=2 * _TAGGED_GROUPS * 9).reshape(2, _TAGGED_GROUPS, 3, 3)[:, 1:]
+    clicked = tags[:, 0] + tags[:, 1] + row_tags[0]
+    rounds = clicked + tags[:, 2] + row_tags[1]
+    # by second-user photons in the o pool, first-user photons in the mu pool;
+    # the single-photon truths read (o, mu), pool class 1, and (mu, o), 2
+    pool_o = clicked[:2].sum(axis=1).ravel()
+    pool_mu = clicked[2:].sum(axis=2).ravel()
 
-    # Photon tags (Poisson splitting of arrived and lost photons) only where
-    # a tally field reads them: the mu pool, the X events and the classes of
-    # the single-photon ground truth, which counts every round of the class.
-    # A silent round's photons were all lost, so its tag is Poisson((1 - eta) k).
-    tagged = _SINGLE_CLASS[cls]
-    tagged[pool_mu] = True
-    tagged[x_rounds] = True
-    t = np.flatnonzero(tagged)
-    ct = cls[t]
-    surv_a = _split(rng, arrived[t], run.share_a[ct])
-    n_a = np.zeros(c, dtype=np.int64)
-    n_b = np.zeros(c, dtype=np.int64)
-    n_a[t] = surv_a + rng.poisson(run.lost_a[ct])
-    n_b[t] = arrived[t] - surv_a + rng.poisson(run.lost_b[ct])
-    o_mu_single = (ct == _O_MU) & (n_b[t] == 1)
-    mu_o_single = (ct == _MU_O) & (n_a[t] == 1)
-    silent_single = rng.binomial(silent[[_O_MU, _MU_O]], run.silent_single_probs)
-
-    cap = np.iinfo(np.uint8).max
+    clicks = lone + counts @ _DARK_CLICK + np.bincount(cls[success], minlength=16)
     return MonteCarloTally(
         n_rounds=n,
         seed=int(seed),
-        e_d_z=params.e_d_z,
+        e_d_z=run.params.e_d_z,
         clicks=dict(zip(_CLASS_LABELS, clicks.tolist())),
-        z_o_bob_mu=cls[pool_o] == _O_MU,
-        z_o_nb=np.minimum(n_b[pool_o], cap).astype(np.uint8),
-        z_mu_bob_mu=cls[pool_mu] == _MU_MU,
-        z_mu_na=np.minimum(n_a[pool_mu], cap).astype(np.uint8),
-        x_u=u,
-        x_tag10=(n_a[x_rounds] == 1) & (n_b[x_rounds] == 0),
-        x_tag01=(n_a[x_rounds] == 0) & (n_b[x_rounds] == 1),
-        o_mu_single_rounds=int(o_mu_single.sum() + silent_single[0]),
-        o_mu_single_clicks=int((o_mu_single & success[t]).sum()),
-        mu_o_single_rounds=int(mu_o_single.sum() + silent_single[1]),
-        mu_o_single_clicks=int((mu_o_single & success[t]).sum()),
+        z_o_bob_mu=np.repeat(_POOL_BOB_MU, pool_o),
+        z_o_nb=np.repeat(_POOL_PHOTONS, pool_o),
+        z_mu_bob_mu=np.repeat(_POOL_BOB_MU, pool_mu),
+        z_mu_na=np.repeat(_POOL_PHOTONS, pool_mu),
+        x_u=bit[x] ^ click_right[x],
+        x_tag10=(n_a[x] == 1) & (n_b[x] == 0),
+        x_tag01=(n_a[x] == 0) & (n_b[x] == 1),
+        o_mu_single_rounds=int(rounds[1, :, 1].sum()),
+        o_mu_single_clicks=int(clicked[1, :, 1].sum()),
+        mu_o_single_rounds=int(rounds[2, 1].sum()),
+        mu_o_single_clicks=int(clicked[2, 1].sum()),
     )
 
 
@@ -415,28 +417,22 @@ def simulate_rounds(
     """Simulate n_rounds protocol rounds and collect the event pools.
 
     Shards hold SHARD_ROUNDS x 2^k rounds for the smallest k >= 0 at which
-    one expects TARGET_CANDIDATES candidates or covers all n_rounds; two or
-    more run on up to resolve_threads(threads) threads.  The returned tally
-    has not been matched yet; run post_match_z and post_match_x (or use
-    oracle_tally) for the pair-level numbers.
+    one expects TARGET_ROWS per-round rows or covers all n_rounds, and run
+    one after another; threads is accepted and changes nothing.  The tally
+    is not matched yet: run post_match_z and post_match_x, or oracle_tally.
     """
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     n_rounds = int(n_rounds)
     run = _run_constants(a, b, geom, params)
-    shard_rounds, candidates = SHARD_ROUNDS, run.candidates_per_shard
-    while shard_rounds < n_rounds and candidates < TARGET_CANDIDATES:
-        shard_rounds, candidates = 2 * shard_rounds, 2.0 * candidates
-    jobs = list(enumerate(min(shard_rounds, n_rounds - s) for s in range(0, n_rounds, shard_rounds)))
-    workers = min(resolve_threads(threads), len(jobs))
-
-    def shard(job: tuple[int, int]) -> MonteCarloTally:
-        return _simulate_shard(run, job[1], seed, job[0])
-
-    if workers == 1:
-        return _merge_shards(map(shard, jobs), n_rounds, seed, params.e_d_z)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _merge_shards(pool.map(shard, jobs), n_rounds, seed, params.e_d_z)
+    shard_rounds, rows = SHARD_ROUNDS, run.rows_per_shard
+    while shard_rounds < n_rounds and rows < TARGET_ROWS:
+        shard_rounds, rows = 2 * shard_rounds, 2.0 * rows
+    shards = (
+        _simulate_shard(run, min(shard_rounds, n_rounds - start), seed, index)
+        for index, start in enumerate(range(0, n_rounds, shard_rounds))
+    )
+    return _merge_shards(shards, n_rounds, seed, params.e_d_z)
 
 
 def _merge_shards(shards, n_rounds: int, seed: int, e_d_z: float) -> MonteCarloTally:
@@ -458,6 +454,7 @@ def _merge_shards(shards, n_rounds: int, seed: int, e_d_z: float) -> MonteCarloT
             for name in _POOL_FIELDS:
                 chunks[name].append(np.concatenate(pending[name]))
                 pending[name].clear()
+    del shard  # so that each pending pool is freed once concatenated
     pools = {name: np.concatenate(chunks.pop(name) + pending.pop(name)) for name in _POOL_FIELDS}
     return MonteCarloTally(n_rounds=n_rounds, seed=int(seed), e_d_z=e_d_z, clicks=clicks, **pools, **counts)
 

@@ -413,12 +413,6 @@ class NetworkScenario:
                 if name not in names:
                     raise ValueError(f"anchor references unknown node {name!r}")
 
-    def node(self, name: str) -> NetworkNode:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class PairRate:

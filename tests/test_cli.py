@@ -629,3 +629,19 @@ def test_sns_check_values_outside_their_range_exit_2(tmp_path, capsys, fields, n
     doc = json.loads(open(_shipped("sns_symmetric.json"), encoding="utf-8").read())
     doc["sns_check"].update(fields)
     _exits_2_quickly(tmp_path, capsys, "sns-check", doc, needle)
+
+
+@pytest.mark.parametrize(
+    "command, config, block, field, value",
+    [
+        ("scan", "scan_symmetric.json", "scan", "n_starts", 1e300),
+        ("scan", "scan_symmetric.json", "scan", "warm_random_starts", 1001),
+        ("scan", "scan_symmetric.json", "scan", "n_starts", -1),
+        ("network", "network_four_users.json", "network", "n_starts", 10**6),
+    ],
+)
+def test_optimizer_starts_out_of_range_exit_2(tmp_path, capsys, command, config, block, field, value):
+    # a scan asking for 1e300 starts ran past 20 s with no output
+    doc = json.loads(open(_shipped(config), encoding="utf-8").read())
+    doc[block][field] = value
+    _exits_2_quickly(tmp_path, capsys, command, doc, f"{block}.{field}: must be in [0, 1000]")

@@ -4,19 +4,15 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.stats import binom, levene, poisson, ttest_ind
+from scipy.stats import binom, chi2_contingency, levene, poisson, ttest_ind
 
 from conftest import (
-    TP_SETTINGS_SIGMA5,
     mc_asymmetric_config,
     mc_symmetric_config,
     mc_toy_config,
-    oriented_pair,
-    reference_params,
     within_three_se,
 )
 from tfkeyrate import event_simulator
@@ -264,42 +260,105 @@ def test_thread_count_does_not_change_the_tally():
     assert serial.summary() == threaded.summary()
 
 
-def _a_c_config():
-    """The paper's A-C link, about 194 candidate rounds per shard."""
-    _, _, a, b, geom = oriented_pair("A", "C", TP_SETTINGS_SIGMA5)
-    return a, b, geom, reference_params(1e11)
+def test_simulation_needs_a_round_and_runs_on_one(tmp_path):
+    a, b, geom, params = mc_toy_config()
+    with pytest.raises(ValueError, match="n_rounds"):
+        simulate_rounds(a, b, geom, params, 0, seed=1)
+    for seed in range(20):
+        tally = oracle_tally(a, b, geom, params, 1, seed)
+        assert tally.n_rounds == 1
+        assert sum(tally.clicks.values()) <= 1
+        assert tally.n_x <= 1 and tally.n_z == 0
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "montecarlo_toy.json")
+    with open(config, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["montecarlo"]["rounds"] = 1
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["montecarlo", "--config", str(cfg), "--out", str(tmp_path / "report.json")]) == 0
 
 
-def _record_pools(monkeypatch):
-    """The keyword arguments of every thread pool simulate_rounds builds."""
-    built = []
+@pytest.mark.parametrize("mu", [0.3, 40.0, 700.0])
+def test_arrival_table_is_the_zero_truncated_poisson_law(mu):
+    # The shard draws arrivals by inverting this table, so it must hold the
+    # whole Poisson(M) law given >= 1 photon, up to the brightest class.
+    _, _, geom, params = mc_toy_config()
+    a = SourceSetting(mu, 0.04, 0.30, 0.25, 0.40, 0.05)
+    b = SourceSetting(0.25, 0.08, 0.28, 0.22, 0.44, 0.06)
+    run = event_simulator._run_constants(a, b, geom, params)
+    cdf = run.arrival_cdf.reshape(16, run.arrival_len) - np.arange(16)[:, None]
+    eta_a, eta_b = geom.transmittances(params)
+    means = np.add.outer(eta_a * np.array([a.mu, a.nu, 0, 0]), eta_b * np.array([b.mu, b.nu, 0, 0])).ravel()
+    k = np.arange(1, run.arrival_len + 1)
+    for c, m in enumerate(means):
+        if m == 0.0:
+            assert np.all(cdf[c] == 1.0)
+            continue
+        exact = (poisson.cdf(k, m) - poisson.pmf(0, m)) / poisson.sf(0, m)
+        assert np.allclose(cdf[c], exact, rtol=1e-10, atol=1e-13), c
+        assert cdf[c, -1] == 1.0 and poisson.sf(run.arrival_len, m) < 1e-25
+        assert run.lone_probs[c] == pytest.approx(m * math.exp(-m) / -math.expm1(-m), rel=1e-10, abs=1e-300)
 
-    def recorded(*args, **kwargs):
-        built.append(kwargs)
-        return ThreadPoolExecutor(*args, **kwargs)
 
-    monkeypatch.setattr(event_simulator, "ThreadPoolExecutor", recorded)
-    return built
+def test_bright_pulses_follow_the_analytics():
+    # Tens of photons arrive per bright round, deep in the arrival table;
+    # such a round clicks once only when every photon takes one side, which
+    # depends on the phase.  With a 45 degree slice, a (nu, nu) round
+    # outside it must draw its phase from outside it.
+    _, _, geom, params = mc_toy_config()
+    a = SourceSetting(6.0, 1.5, 0.30, 0.25, 0.40, 0.05)
+    b = SourceSetting(4.0, 1.2, 0.28, 0.22, 0.44, 0.06)
+    wide = dataclasses.replace(params, delta=math.pi / 4)
+    n_rounds = 4_000_000
+    observed = oracle_tally(a, b, geom, wide, n_rounds, seed=20260814).observed_counts()
+    expected = observed_statistics(a, b, geom, dataclasses.replace(wide, N=float(n_rounds)))
+    for label in _CLASS_LABELS:
+        assert _poisson_two_sided(observed.x[label], expected.x[label]) > DIST_P_MIN, label
+    assert expected.x[("mu", "mu")] > 100.0 and expected.x[("nu", "nu")] > 10_000.0
+    assert _poisson_two_sided(observed.n_x, expected.n_x) > DIST_P_MIN
 
 
-# A-C shards hold SHARD_ROUNDS x 2^7 rounds: two of them and one round more
-_A_C_ROUNDS = 2 * (event_simulator.SHARD_ROUNDS << 7) + 1
+def test_single_photon_rounds_follow_the_emission_law():
+    # o_mu_single_rounds counts the (o, mu) rounds in which the second user
+    # emitted exactly one photon, clicked or not, lost or not: a binomial
+    # count with chance p_o p_mu mu e^-mu per round.  Dark counts make some
+    # of them per-round rows.
+    a, b, geom, params = _dark_toy_config()
+    n_rounds = 100_000_000
+    tally = simulate_rounds(a, b, geom, params, n_rounds, seed=20260814)
+    probs = np.outer([a.p_mu, a.p_nu, a.p_o, a.p_ohat], [b.p_mu, b.p_nu, b.p_o, b.p_ohat])
+    probs /= probs.sum()
+    for observed, p in (
+        (tally.o_mu_single_rounds, probs[_O, _MU] * b.mu * math.exp(-b.mu)),
+        (tally.mu_o_single_rounds, probs[_MU, _O] * a.mu * math.exp(-a.mu)),
+    ):
+        assert min(binom.cdf(observed, n_rounds, p), binom.sf(observed - 1, n_rounds, p)) > DIST_P_MIN / 2
 
 
-@pytest.mark.parametrize(
-    "config, n_rounds", [(_a_c_config, _A_C_ROUNDS), (mc_toy_config, 2_500_000)], ids=["a_c", "toy"]
-)
-def test_serial_and_pooled_shards_give_identical_tallies(monkeypatch, config, n_rounds):
-    a, b, geom, params = config()
-    built = _record_pools(monkeypatch)
-    tallies = [oracle_tally(a, b, geom, params, n_rounds, seed=11, threads=t) for t in (1, 2)]
-    assert built == [{"max_workers": 2}]
-    serial, pooled = tallies
-    assert serial.summary() == pooled.summary()
-    assert sum(serial.clicks.values()) > 0
-    for name in _POOL_FIELDS:
-        x, y = getattr(serial, name), getattr(pooled, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
+def test_photon_tags_match_the_dense_reference():
+    # At 10 % detector efficiency most photons are lost, and with bright
+    # decoys in a 90 degree slice a 1e6-round shard holds tens of thousands
+    # of X events and pool events: their photon tags, drawn per row or as
+    # category counts, must follow the dense reference's.
+    _, _, geom, params = mc_toy_config()
+    a = SourceSetting(2.0, 1.0, 0.2, 0.6, 0.15, 0.05)
+    lossy = dataclasses.replace(params, eta_d=0.1, delta=math.pi / 2)
+    run = event_simulator._run_constants(a, a, geom, lossy)
+
+    def tag_tables(shard, seeds):
+        tallies = [shard(run, 1_000_000, seed, 0) for seed in seeds]
+        x = np.concatenate([2 * t.x_tag10 + t.x_tag01 for t in tallies])
+        pool_o = np.concatenate([3 * t.z_o_bob_mu + np.minimum(t.z_o_nb, 2) for t in tallies])
+        pool_mu = np.concatenate([3 * t.z_mu_bob_mu + np.minimum(t.z_mu_na, 2) for t in tallies])
+        return [np.bincount(v, minlength=6) for v in (x, pool_o, pool_mu)]
+
+    sparse = tag_tables(event_simulator._simulate_shard, range(2))
+    dense = tag_tables(_dense_shard, range(1000, 1002))
+    for name, s, d in zip(("x", "pool_o", "pool_mu"), sparse, dense):
+        table = np.array([s, d])
+        table = table[:, table.sum(axis=0) >= 20]
+        assert table.sum() > 10_000 and table.shape[1] >= 2, name
+        assert chi2_contingency(table).pvalue > DIST_P_MIN, (name, table)
 
 
 def test_merge_and_match_chunks_do_not_change_the_tally(monkeypatch):
@@ -316,16 +375,16 @@ def test_merge_and_match_chunks_do_not_change_the_tally(monkeypatch):
 
 
 def _sized_shard_link():
-    """The symmetric Monte Carlo link on 99 km arms: a base shard expects
-    about 5,190 candidates, so sized shards hold 4 base shards."""
+    """The symmetric Monte Carlo link on 20 km arms: a base shard expects
+    about 8,490 per-round rows, so sized shards hold 4 base shards."""
     a, b, _, params = mc_symmetric_config()
-    return a, b, LinkGeometry(99.0, 99.0), params
+    return a, b, LinkGeometry(20.0, 20.0), params
 
 
 def test_sized_shards_match_base_size_shards_in_distribution(monkeypatch):
     a, b, geom, params = _sized_shard_link()
-    candidates = event_simulator._run_constants(a, b, geom, params).candidates_per_shard
-    assert 2 * candidates < event_simulator.TARGET_CANDIDATES <= 4 * candidates
+    rows = event_simulator._run_constants(a, b, geom, params).rows_per_shard
+    assert 2 * rows < event_simulator.TARGET_ROWS <= 4 * rows
     n_rounds = 2 * 4 * event_simulator.SHARD_ROUNDS + 1
 
     def tallies(first_seed):
@@ -334,7 +393,7 @@ def test_sized_shards_match_base_size_shards_in_distribution(monkeypatch):
 
     sized = tallies(0)
     with monkeypatch.context() as patch:
-        patch.setattr(event_simulator, "TARGET_CANDIDATES", 0)
+        patch.setattr(event_simulator, "TARGET_ROWS", 0)
         base = tallies(1000)
 
     sized_fields = [_count_fields(t) for t in sized]
@@ -355,20 +414,6 @@ def test_sized_shards_match_base_size_shards_in_distribution(monkeypatch):
         assert _poisson_two_sided(observed, expected) > DIST_P_MIN, (
             f"{per_seed[0].name}: {observed} vs {expected:.6g}"
         )
-
-
-def test_only_event_dense_runs_use_the_thread_pool(monkeypatch):
-    def refused(*args, **kwargs):
-        raise AssertionError("an event-sparse run built a thread pool")
-
-    monkeypatch.setattr(event_simulator, "ThreadPoolExecutor", refused)
-    a, b, geom, params = _a_c_config()
-    assert oracle_tally(a, b, geom, params, 3_000_000, seed=5, threads=2).n_rounds == 3_000_000
-
-    built = _record_pools(monkeypatch)
-    a, b, geom, params = mc_toy_config()
-    oracle_tally(a, b, geom, params, 3_000_000, seed=5, threads=2)
-    assert built == [{"max_workers": 2}]
 
 
 def test_vacuum_only_sources_without_darks_never_click():

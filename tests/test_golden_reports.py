@@ -95,8 +95,8 @@ def test_json_report_matches_golden(tmp_path, name):
 
 
 def test_threaded_montecarlo_report_matches_golden(tmp_path):
-    # two workers share the toy run's ten shards; the merged tally, and so
-    # the report, must be the single-thread one
+    # --threads is accepted and changes nothing: the shards run one after
+    # another, so the report must be the one without it
     name = "montecarlo_toy.json"
     _assert_json_matches_golden(tmp_path, name, JSON_CASES[name] + ["--threads", "2"])
 
