@@ -2,9 +2,9 @@
 
 Two users send phase-randomized pulses toward a middle beam splitter with
 single-photon detectors L and R behind it; a round succeeds when exactly one
-detector clicks.  This module evaluates the per-phase and phase-averaged
-click rates for every intensity pair, the post-matched Z-basis pair counts
-and error rate, and the phase-sliced X-basis totals and error counts.
+detector clicks.  This module evaluates the phase-averaged click rates
+for every intensity pair, the post-matched Z-basis pair counts and error
+rate, and the phase-sliced X-basis totals and error counts.
 
 Intensity classes per user: "mu" (signal), "nu" (decoy, used in the phase
 slice), "o" (declared vacuum) and "ohat" (undeclared vacuum).  The o/ohat
@@ -84,26 +84,6 @@ class SourceSetting:
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"send probabilities must sum to 1, got {total}")
 
-    def intensity(self, label: str) -> float:
-        if label == "mu":
-            return self.mu
-        if label == "nu":
-            return self.nu
-        if label in ("o", "ohat"):
-            return 0.0
-        raise KeyError(label)
-
-    def probability(self, label: str) -> float:
-        if label == "mu":
-            return self.p_mu
-        if label == "nu":
-            return self.p_nu
-        if label == "o":
-            return self.p_o
-        if label == "ohat":
-            return self.p_ohat
-        raise KeyError(label)
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -166,20 +146,6 @@ class LinkGeometry:
         eta_b = params.eta_d * 10.0 ** (-params.alpha * self.l_b / 10.0)
         return eta_a, eta_b
 
-    def swapped(self) -> "LinkGeometry":
-        return LinkGeometry(l_a=self.l_b, l_b=self.l_a)
-
-
-@dataclass(frozen=True)
-class GainComponents:
-    """Click statistics for one intensity pair at one phase difference."""
-
-    y_kk: float
-    omega: float
-    q_L_theta: float
-    q_R_theta: float
-    q_total: float
-
 
 @dataclass(frozen=True)
 class ObservedCounts:
@@ -211,12 +177,6 @@ def _amplitudes(k_a: float, k_b: float, eta_a: float, eta_b: float, p_d: float) 
     return y, omega, half_sum
 
 
-def _exp_gap(t: float, half_sum: float, p_d: float) -> float:
-    # e^t - y with y = (1-p_d) e^{-half_sum}, written so the near-cancellation
-    # at t ~ -half_sum ~ 0 is evaluated through expm1 instead of subtraction
-    return math.expm1(t) - math.expm1(-half_sum) + p_d * math.exp(-half_sum)
-
-
 def _average_gain(y: float, omega: float, half_sum: float, p_d: float) -> float:
     """Phase-averaged success rate 2y (I0(omega) - y) from the amplitudes."""
     one_minus_y = -math.expm1(-half_sum) + p_d * math.exp(-half_sum)
@@ -227,12 +187,13 @@ def _slice_terms(
     a: SourceSetting, b: SourceSetting, geom: LinkGeometry, params: SystemParams
 ) -> tuple[float, float, float, float]:
     """(y, omega, gap, dark) of the decoy pair, where gap = expm1(-half_sum)
-    and dark = p_d e^{-half_sum} are the theta-free terms of _exp_gap.
+    and dark = p_d e^{-half_sum} are the theta-free terms of the per-phase
+    gains.
 
-    A slice integrand then evaluates q_L = y * (expm1(c) - gap + dark), and
-    q_R with -c, for c = omega cos theta: the operations of
-    y * _exp_gap(+-c, half_sum, p_d) in the same order, with one cosine and
-    two expm1 per node.
+    A slice integrand then evaluates the per-phase gain q_L = y (e^c - y)
+    as y * (expm1(c) - gap + dark), and q_R with -c, for c = omega cos
+    theta: one cosine and two expm1 per node, which keep their precision
+    where e^c and y are both near 1.
     """
     eta_a, eta_b = geom.transmittances(params)
     y, omega, half_sum = _amplitudes(a.nu, b.nu, eta_a, eta_b, params.p_d)
@@ -261,34 +222,6 @@ def _i0_minus_one(x: float) -> float:
         k += 1
 
 
-def per_phase_gains(
-    k_a: float,
-    k_b: float,
-    theta: float,
-    geom: LinkGeometry,
-    params: SystemParams,
-) -> GainComponents:
-    """Gains at a fixed global phase difference theta.
-
-    q_L_theta = y (e^{omega cos theta} - y) and q_R_theta with the opposite
-    sign in the exponent; q_total is the phase average 2y (I0(omega) - y).
-    """
-    if k_a < 0.0 or k_b < 0.0:
-        raise ValueError(f"intensities must be >= 0, got {k_a}, {k_b}")
-    eta_a, eta_b = geom.transmittances(params)
-    y, omega, half_sum = _amplitudes(k_a, k_b, eta_a, eta_b, params.p_d)
-    c = omega * math.cos(theta)
-    q_l = y * _exp_gap(c, half_sum, params.p_d)
-    q_r = y * _exp_gap(-c, half_sum, params.p_d)
-    q_total = _average_gain(y, omega, half_sum, params.p_d)
-    return GainComponents(y_kk=y, omega=omega, q_L_theta=q_l, q_R_theta=q_r, q_total=q_total)
-
-
-def overall_gain(k_a: float, k_b: float, geom: LinkGeometry, params: SystemParams) -> float:
-    """Phase-averaged success rate 2y (I0(omega) - y) for one intensity pair."""
-    return per_phase_gains(k_a, k_b, 0.0, geom, params).q_total
-
-
 def declare_vacuum_probability(a: SourceSetting, b: SourceSetting) -> float:
     """Probability of the aggregated declared-vacuum event class."""
     return a.p_ohat * b.p_ohat + a.p_ohat * b.p_o + a.p_o * b.p_ohat
@@ -313,7 +246,7 @@ def expected_pair_counts(
     """Expected successful-event counts x[k_a][k_b] = N p_{k_a} p_{k_b} q for
     all sixteen intensity pairs, plus the aggregated declared-vacuum total.
 
-    q is overall_gain of the pair, computed with the same operations from
+    q is the phase-averaged gain 2y (I0(omega) - y) of the pair, with the
     transmittances evaluated once.
     """
     eta_a, eta_b = geom.transmittances(params)

@@ -412,14 +412,13 @@ def simulate_rounds(
     params: SystemParams,
     n_rounds: int,
     seed: int,
-    threads: int | None = None,
 ) -> MonteCarloTally:
     """Simulate n_rounds protocol rounds and collect the event pools.
 
     Shards hold SHARD_ROUNDS x 2^k rounds for the smallest k >= 0 at which
     one expects TARGET_ROWS per-round rows or covers all n_rounds, and run
-    one after another; threads is accepted and changes nothing.  The tally
-    is not matched yet: run post_match_z and post_match_x, or oracle_tally.
+    one after another.  The tally is not matched yet: run post_match_z and
+    post_match_x, or oracle_tally.
     """
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
@@ -559,8 +558,9 @@ def oracle_tally(
     seed: int,
     threads: int | None = None,
 ) -> MonteCarloTally:
-    """simulate_rounds plus both matching passes."""
-    tally = simulate_rounds(a, b, geom, params, n_rounds, seed, threads=threads)
+    """simulate_rounds plus both matching passes; threads is accepted and
+    ignored, since the shards run one after another."""
+    tally = simulate_rounds(a, b, geom, params, n_rounds, seed)
     return post_match_x(post_match_z(tally))
 
 

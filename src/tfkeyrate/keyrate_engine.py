@@ -306,14 +306,12 @@ def estimate_s0mub_z(
     All ingredients are rescalings of the declared-vacuum rows; a zero bound
     is a legitimate outcome (it only removes an additive credit).
     expected_bounds reuses a pipeline's expected_count_bounds; a standalone
-    call converts the two counts it reads.
+    call converts the two counts it reads.  Settings without both vacuum
+    classes raise MissingDeclareVacuumError.
     """
     _check_mode(mode)
+    check_vacuum_classes(a, b)
     p_ood = declare_vacuum_probability(a, b)
-    if a.p_ohat <= 0.0 or p_ood <= 0.0:
-        raise MissingDeclareVacuumError("s0mub rescaling needs nonzero undeclared-vacuum probability")
-    if a.p_o <= 0.0:
-        raise MissingDeclareVacuumError("s0mub rescaling needs nonzero declared-vacuum probability")
     eps = params.eps
     bounds = expected_bounds
     if bounds is None:

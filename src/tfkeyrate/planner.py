@@ -70,8 +70,6 @@ class LinkPlan:
     geom: LinkGeometry
     params: SystemParams
     rate: float
-    mode: str
-    seed: int
     feasible: bool
     n_evaluations: int
     evaluation: LinkEvaluation | None
@@ -87,7 +85,6 @@ def _safe_rate(
     geom: LinkGeometry,
     params: SystemParams,
     mode: str,
-    reuse: LinkEvaluation | None = None,
 ) -> tuple[float, LinkEvaluation | None]:
     """Rate with decoy-infeasible points mapped to zero.
 
@@ -95,7 +92,7 @@ def _safe_rate(
     settings, a missing vacuum class, a bug) propagates to the caller.
     """
     try:
-        ev = evaluate_link(a, b, geom, params, mode=mode, reuse=reuse)
+        ev = evaluate_link(a, b, geom, params, mode=mode)
     except InfeasibleDecoyError:
         return 0.0, None
     return ev.result.rate, ev
@@ -375,8 +372,6 @@ def optimize_link(
         geom=geom,
         params=final_params,
         rate=rate,
-        mode=mode,
-        seed=int(seed),
         feasible=rate > 0.0,
         n_evaluations=eval_count,
         evaluation=ev,
@@ -432,9 +427,6 @@ class PairRate:
 class NetworkEvaluation:
     pairs: tuple[PairRate, ...]
     settings: dict[str, SourceSetting]
-    params: SystemParams
-    seed: int
-    orientation: str
 
 
 def _setting_key(s: SourceSetting) -> tuple:
@@ -552,13 +544,7 @@ def evaluate_network(
                 plob=plob_bound(total, scn.params.eta_d, scn.params.alpha),
             )
         )
-    return NetworkEvaluation(
-        pairs=tuple(pairs),
-        settings=settings,
-        params=scn.params,
-        seed=int(seed),
-        orientation=orientation,
-    )
+    return NetworkEvaluation(pairs=tuple(pairs), settings=settings)
 
 
 # ---------------------------------------------------------------------------

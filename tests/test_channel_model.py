@@ -19,8 +19,6 @@ from tfkeyrate.channel_model import (
     declare_vacuum_probability,
     expected_pair_counts,
     observed_statistics,
-    overall_gain,
-    per_phase_gains,
     single_photon_yields,
     x_basis_counts,
     z_basis_counts,
@@ -37,6 +35,38 @@ def _params(p_d=1e-8, e_d_z=0.0, n_pulses=1e9, sigma_deg=5.0, delta_deg=7.0):
 
 _SOURCE_A = SourceSetting(0.45, 0.10, 0.30, 0.25, 0.40, 0.05)
 _SOURCE_B = SourceSetting(0.40, 0.08, 0.28, 0.22, 0.44, 0.06)
+LABELS = ("mu", "nu", "o", "ohat")
+
+
+def _reference_arms(k_a, k_b, theta, geom, params):
+    """The paper's per-phase gains (q_L, q_R) = y (e^{+-omega cos theta} - y),
+    written here from the model's definitions alone: y = (1 - p_d)
+    e^{-(eta_a k_a + eta_b k_b)/2} and omega = sqrt(eta_a k_a eta_b k_b).
+    e^c - y is expm1(c) + (1 - y), so a vacuum pair keeps its precision."""
+    eta_a, eta_b = (params.eta_d * 10.0 ** (-params.alpha * km / 10.0) for km in (geom.l_a, geom.l_b))
+    loss = 0.5 * (eta_a * k_a + eta_b * k_b)
+    y = (1.0 - params.p_d) * math.exp(-loss)
+    one_minus_y = params.p_d * math.exp(-loss) - math.expm1(-loss)
+    c = math.sqrt(eta_a * k_a * eta_b * k_b) * math.cos(theta)
+    return y * (math.expm1(c) + one_minus_y), y * (math.expm1(-c) + one_minus_y)
+
+
+def _reference_average_gain(k_a, k_b, geom, params):
+    """Phase average of q_L + q_R by scipy's quadrature."""
+    total, _ = integrate.quad(
+        lambda t: sum(_reference_arms(k_a, k_b, t, geom, params)), 0.0, 2.0 * math.pi,
+        epsabs=0.0, epsrel=1e-12,
+    )
+    return total / (2.0 * math.pi)
+
+
+def _gains(a, b, geom, params):
+    """Phase-averaged gain of every intensity pair, read back from the
+    expected counts x[k_a, k_b] = N p_{k_a} p_{k_b} q."""
+    counts = expected_pair_counts(a, b, geom, params)
+    probs_a = dict(zip(LABELS, (a.p_mu, a.p_nu, a.p_o, a.p_ohat)))
+    probs_b = dict(zip(LABELS, (b.p_mu, b.p_nu, b.p_o, b.p_ohat)))
+    return {(i, j): x / (params.N * probs_a[i] * probs_b[j]) for (i, j), x in counts.x.items()}
 
 
 def test_source_setting_validation():
@@ -48,12 +78,17 @@ def test_source_setting_validation():
         SourceSetting(0.4, 0.1, 0.5, 0.2, 0.4, 0.1)  # probabilities above one
     with pytest.raises(ValueError):
         SourceSetting(0.4, 0.1, -0.1, 0.3, 0.7, 0.1)
-    s = _SOURCE_A
-    assert s.intensity("mu") == s.mu
-    assert s.intensity("o") == 0.0
-    assert s.intensity("ohat") == 0.0
-    assert s.probability("nu") == s.p_nu
-    assert s.probability("ohat") == s.p_ohat
+    # nu may reach sqrt(float min) and no lower
+    tiny = math.sqrt(sys.float_info.min)
+    assert SourceSetting(0.4, tiny, 0.3, 0.2, 0.4, 0.1).nu == tiny
+    with pytest.raises(ValueError, match="nu must be at least"):
+        SourceSetting(0.4, math.nextafter(tiny, 0.0), 0.3, 0.2, 0.4, 0.1)
+    # the probabilities may miss 1 by 1e-9 and no more
+    for slack in (0.5e-9, -0.5e-9):
+        SourceSetting(0.45, 0.10, 0.30, 0.25, 0.40 + slack, 0.05)
+    for slack in (2e-9, -2e-9):
+        with pytest.raises(ValueError, match="sum to 1"):
+            SourceSetting(0.45, 0.10, 0.30, 0.25, 0.40 + slack, 0.05)
 
 
 def test_system_params_validation():
@@ -61,6 +96,14 @@ def test_system_params_validation():
         _params(delta_deg=0.0)
     with pytest.raises(ValueError):
         _params(delta_deg=91.0)
+    assert dataclasses.replace(_params(), eta_d=1.0).eta_d == 1.0
+    with pytest.raises(ValueError, match="eta_d must be in"):
+        dataclasses.replace(_params(), eta_d=0.0)
+    # the smallest positive round count is accepted, none is not
+    smallest = math.ulp(0.0)
+    assert _params(n_pulses=smallest).N == smallest
+    with pytest.raises(ValueError, match="finite and positive"):
+        _params(n_pulses=0.0)
 
 
 def test_system_params_reject_values_the_arithmetic_cannot_hold():
@@ -108,28 +151,29 @@ def test_link_geometry_transmittances_and_swap():
     eta_a, eta_b = geom.transmittances(params)
     assert math.isclose(eta_a, 0.7 * 10.0 ** (-0.165 * 60.0 / 10.0), rel_tol=1e-14)
     assert math.isclose(eta_b, 0.7 * 10.0 ** (-0.165 * 140.0 / 10.0), rel_tol=1e-14)
-    assert geom.swapped().transmittances(params) == (eta_b, eta_a)
+    assert LinkGeometry(geom.l_b, geom.l_a).transmittances(params) == (eta_b, eta_a)
 
 
 def test_vacuum_with_no_darks_never_clicks():
     params = _params(p_d=0.0)
     geom = LinkGeometry(50.0, 80.0)
+    gains = _gains(_SOURCE_A, _SOURCE_B, geom, params)
+    for pair in (("o", "o"), ("o", "ohat"), ("ohat", "o"), ("ohat", "ohat")):
+        assert gains[pair] == 0.0
+    assert expected_pair_counts(_SOURCE_A, _SOURCE_B, geom, params).x_oo_d == 0.0
     for theta in (0.0, 1.0, math.pi):
-        g = per_phase_gains(0.0, 0.0, theta, geom, params)
-        assert g.q_L_theta == 0.0
-        assert g.q_R_theta == 0.0
-    assert overall_gain(0.0, 0.0, geom, params) == 0.0
+        assert _reference_arms(0.0, 0.0, theta, geom, params) == (0.0, 0.0)
 
 
 def test_vacuum_click_rate_is_dark_coincidence():
     geom = LinkGeometry(50.0, 80.0)
     for p_d in (1e-8, 1e-6, 1e-3):
         params = _params(p_d=p_d)
-        g = per_phase_gains(0.0, 0.0, 1.3, geom, params)
-        assert math.isclose(g.q_L_theta + g.q_R_theta, 2.0 * p_d * (1.0 - p_d), rel_tol=1e-12)
-        assert math.isclose(
-            overall_gain(0.0, 0.0, geom, params), 2.0 * p_d * (1.0 - p_d), rel_tol=1e-12
-        )
+        q_l, q_r = _reference_arms(0.0, 0.0, 1.3, geom, params)
+        assert math.isclose(q_l + q_r, 2.0 * p_d * (1.0 - p_d), rel_tol=1e-12)
+        gains = _gains(_SOURCE_A, _SOURCE_B, geom, params)
+        for pair in (("o", "o"), ("o", "ohat"), ("ohat", "o"), ("ohat", "ohat")):
+            assert math.isclose(gains[pair], 2.0 * p_d * (1.0 - p_d), rel_tol=1e-12)
 
 
 def test_overall_gain_is_phase_average():
@@ -139,37 +183,43 @@ def test_overall_gain_is_phase_average():
         k_b = float(10.0 ** rng.uniform(-2.0, 0.0))
         geom = LinkGeometry(float(rng.uniform(5.0, 150.0)), float(rng.uniform(5.0, 150.0)))
         params = _params(p_d=1e-8)
-
-        def both_arms(theta):
-            g = per_phase_gains(k_a, k_b, theta, geom, params)
-            return g.q_L_theta + g.q_R_theta
-
-        avg, _ = integrate.quad(both_arms, 0.0, 2.0 * math.pi, epsabs=0.0, epsrel=1e-12)
-        avg /= 2.0 * math.pi
-        assert math.isclose(overall_gain(k_a, k_b, geom, params), avg, rel_tol=1e-9)
+        # every intensity pair: mu = k, nu = k / 2 and vacuum on each side
+        a = dataclasses.replace(_SOURCE_A, mu=k_a, nu=0.5 * k_a)
+        b = dataclasses.replace(_SOURCE_B, mu=k_b, nu=0.5 * k_b)
+        intensity_a = {"mu": a.mu, "nu": a.nu, "o": 0.0, "ohat": 0.0}
+        intensity_b = {"mu": b.mu, "nu": b.nu, "o": 0.0, "ohat": 0.0}
+        for (i, j), gain in _gains(a, b, geom, params).items():
+            avg = _reference_average_gain(intensity_a[i], intensity_b[j], geom, params)
+            assert math.isclose(gain, avg, rel_tol=1e-9), (i, j)
 
 
 def test_gain_components_well_bounded():
     rng = np.random.default_rng(29)
     for _ in range(500):
-        k_a = float(rng.uniform(0.0, 1.5))
-        k_b = float(rng.uniform(0.0, 1.5))
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+        mu_a, nu_a = sorted((float(k) for k in rng.uniform(0.0, 1.5, 2)), reverse=True)
+        mu_b, nu_b = sorted((float(k) for k in rng.uniform(0.0, 1.5, 2)), reverse=True)
+        a = dataclasses.replace(_SOURCE_A, mu=mu_a, nu=nu_a)
+        b = dataclasses.replace(_SOURCE_B, mu=mu_b, nu=nu_b)
         geom = LinkGeometry(float(rng.uniform(0.5, 200.0)), float(rng.uniform(0.5, 200.0)))
-        params = _params(p_d=float(rng.choice([0.0, 1e-8, 1e-6, 1e-3])))
-        g = per_phase_gains(k_a, k_b, theta, geom, params)
-        assert 0.0 < g.y_kk <= 1.0
-        assert g.omega >= 0.0
-        assert 0.0 <= g.q_L_theta <= 1.0
-        assert 0.0 <= g.q_R_theta <= 1.0
-        assert 0.0 <= g.q_total <= 1.0
+        params = _params(
+            p_d=float(rng.choice([0.0, 1e-8, 1e-6, 1e-3])), sigma_deg=float(rng.uniform(0.0, 360.0))
+        )
+        assert all(0.0 <= g <= 1.0 for g in _gains(a, b, geom, params).values())
+        # 0 <= q_L, q_R and q_L + q_R <= 1 at every phase of the slice
+        n_x, m_x = x_basis_counts(a, b, geom, params)
+        assert 0.0 <= m_x <= n_x <= params.N * a.p_nu * b.p_nu * params.delta / math.pi
 
 
 def test_overall_gain_monotone_in_intensity():
     geom = LinkGeometry(100.0, 100.0)
     params = _params()
-    gains = [overall_gain(k, 0.4, geom, params) for k in np.linspace(0.0, 1.2, 13)]
-    assert all(b > a for a, b in zip(gains, gains[1:]))
+    # _SOURCE_B sends mu = 0.4: gain(0, 0.4) from the vacuum row, gain(k, 0.4)
+    # from the signal row
+    gains = [_gains(_SOURCE_A, _SOURCE_B, geom, params)[("o", "mu")]]
+    for k in np.linspace(0.0, 1.2, 13)[1:]:
+        a = dataclasses.replace(_SOURCE_A, mu=float(k), nu=0.5 * float(k))
+        gains.append(_gains(a, _SOURCE_B, geom, params)[("mu", "mu")])
+    assert all(hi > lo for lo, hi in zip(gains, gains[1:]))
 
 
 def test_declare_vacuum_probability_formula():
@@ -183,11 +233,10 @@ def test_expected_pair_counts_structure():
     params = _params()
     geom = LinkGeometry(100.0, 100.0)
     counts = expected_pair_counts(_SOURCE_A, _SOURCE_B, geom, params)
-    labels = ("mu", "nu", "o", "ohat")
-    assert sorted(counts.x.keys()) == sorted((i, j) for i in labels for j in labels)
+    assert sorted(counts.x.keys()) == sorted((i, j) for i in LABELS for j in LABELS)
     assert all(v >= 0.0 for v in counts.x.values())
     assert sum(counts.x.values()) <= params.N
-    vac_gain = overall_gain(0.0, 0.0, geom, params)
+    vac_gain = _reference_average_gain(0.0, 0.0, geom, params)
     assert math.isclose(
         counts.x[("o", "o")], params.N * _SOURCE_A.p_o * _SOURCE_B.p_o * vac_gain,
         rel_tol=1e-12,
@@ -313,8 +362,7 @@ def test_x_counts_match_independent_quadrature():
     lo, hi = params.sigma, params.sigma + params.delta
 
     def arms(theta):
-        g = per_phase_gains(_SOURCE_A.nu, _SOURCE_B.nu, theta, geom, params)
-        return g.q_L_theta, g.q_R_theta
+        return _reference_arms(_SOURCE_A.nu, _SOURCE_B.nu, theta, geom, params)
 
     click_int, _ = integrate.quad(lambda t: sum(arms(t)), lo, hi, epsabs=0.0, epsrel=1e-12)
     err_int, _ = integrate.quad(

@@ -314,6 +314,9 @@ def test_key_length_clamps_at_zero():
     assert res.ell_unclamped < 0.0
     assert res.ell == 0.0
     assert res.rate == 0.0
+    # no Z-basis pair is no key, not a key of length zero
+    with pytest.raises(InfeasibleDecoyError, match="without Z-basis pairs"):
+        key_length(dataclasses.replace(ev.counts, n_z=0.0), ev.decoy, ev.budget, params)
 
 
 def test_key_length_monotone_in_epsilon():
@@ -387,7 +390,7 @@ def test_role_swap_changes_the_rate():
     c, d = TP_SETTINGS_SIGMA5["C"], TP_SETTINGS_SIGMA5["D"]
     geom = LinkGeometry(120.0, 150.0)
     forward = evaluate_link(c, d, geom, params).result.rate
-    backward = evaluate_link(d, c, geom.swapped(), params).result.rate
+    backward = evaluate_link(d, c, LinkGeometry(geom.l_b, geom.l_a), params).result.rate
     assert forward > 0.0 and backward > 0.0
     assert abs(forward - backward) / forward > 0.01
 
@@ -504,7 +507,7 @@ def test_reuse_of_other_inputs_raises():
     others = [
         (_SOURCE_B, _SOURCE_B, geom, wider, MODE_FINITE),
         (_SOURCE_A, _SOURCE_A, geom, wider, MODE_FINITE),
-        (_SOURCE_A, _SOURCE_B, geom.swapped(), wider, MODE_FINITE),
+        (_SOURCE_A, _SOURCE_B, LinkGeometry(geom.l_b, geom.l_a), wider, MODE_FINITE),
         (_SOURCE_A, _SOURCE_B, geom, wider, MODE_ASYMPTOTIC),
         (_SOURCE_A, _SOURCE_B, geom, _params(n_pulses=1e12, delta_deg=9.0), MODE_FINITE),
         (_SOURCE_A, _SOURCE_B, geom, _params(sigma_deg=6.0, delta_deg=9.0), MODE_FINITE),
